@@ -2,37 +2,32 @@
 
 The first bench of the detection layer itself.  One dense-monitor grid
 simulation is recorded as a raw transmission-event stream, then that
-identical stream is replayed into the two detection backends:
+identical stream is replayed into the two detection paths:
 
 * **legacy** — one full :class:`BackoffMisbehaviorDetector` engine
   listener per (monitor, tagged) pair, each maintaining its own busy
   timeline, ARMA feed and competing-terminal estimator;
 * **observatory** — one :class:`SharedChannelObservatory` that resolves
   each event once per monitor *node* and demuxes to lightweight
-  per-pair subscriptions;
-* **batched** — the observatory on ``stats_backend="batched"``: busy
-  timelines in numpy :class:`repro.core.batch.IntervalLedger` prefix
-  sums, lazily-folded ARMA feeds, and rank-sum windows coalesced across
-  detectors into one vectorized kernel call per dispatch flush.
+  per-pair subscriptions.
 
 Replaying (rather than timing ``sim.run``) isolates the detection layer
 from the engine's slot loop, which ``bench_engine`` already prices; the
 timer accumulates ``perf_counter`` around the hook calls only, so
-medium bookkeeping (shared by every backend) never dilutes the ratio.
+medium bookkeeping (shared by both paths) never dilutes the ratio.
 The reported unit is demuxed detection-events per second of
-detection-layer time.  All backends consume byte-identical inputs, so
+detection-layer time.  Both paths consume byte-identical inputs, so
 their verdicts, audit records and metrics snapshots must match exactly
 — the bench asserts that, mirroring ``tests/test_observatory.py``.
 
 Cells sweep the attach grid (M monitors x C cheaters, up to the full
-4 x 4 = 16 detectors); the headline cell asserts the >= 2x shared-plane
-speedup and the >= 3x batched-kernel speedup (both over legacy) at 16
-attached detectors.
+4 x 4 = 16 detectors); the headline cell asserts the >= 2x speedup of
+the observatory over the legacy path it replaced at 16 attached
+detectors.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import time
@@ -55,11 +50,10 @@ from repro.sim.listeners import SimulationListener
 SEED = 7
 BASE_DURATION_S = 15.0
 DETECTOR_CONFIG = DetectorConfig(sample_size=25, known_n=5, known_k=5)
-BATCHED_CONFIG = dataclasses.replace(DETECTOR_CONFIG, stats_backend="batched")
 #: (M, C) attach-grid cells; the last is the 16-detector headline.
 ATTACH_GRID = ((1, 1), (2, 2), (4, 2), (4, 4))
 #: Replay backends, in manifest column order.
-BACKENDS = ("legacy", "observatory", "batched")
+BACKENDS = ("legacy", "observatory")
 REPS = 3
 
 
@@ -156,13 +150,10 @@ def _run_backend(backend, pairs, separation, channel, positions, events):
             start_hooks = [d.on_transmission_start for d in detectors]
             end_hooks = [d.on_transmission_end for d in detectors]
         else:
-            config = (
-                BATCHED_CONFIG if backend == "batched" else DETECTOR_CONFIG
-            )
             observatory = SharedChannelObservatory()
             detectors = [
                 observatory.attach(
-                    monitor, tagged, config=config,
+                    monitor, tagged, config=DETECTOR_CONFIG,
                     separation=separation, audit=audit, metrics=metrics,
                 )
                 for monitor, tagged in pairs
@@ -206,11 +197,6 @@ def bench_detection_throughput(benchmark):
                 if cell["observatory_seconds"] > 0
                 else float("inf")
             )
-            cell["batched_speedup"] = (
-                cell["legacy_seconds"] / cell["batched_seconds"]
-                if cell["batched_seconds"] > 0
-                else float("inf")
-            )
             cell["fingerprints_equal"] = (
                 len(set(fingerprints.values())) == 1
             )
@@ -225,9 +211,7 @@ def bench_detection_throughput(benchmark):
             f"detection {n_monitors}x{n_tagged} ({cell['detectors']:2d} det): "
             f"legacy {cell['legacy_events_per_sec']:>9,.0f} ev/s, "
             f"observatory {cell['observatory_events_per_sec']:>9,.0f} ev/s "
-            f"({cell['speedup']:.2f}x), "
-            f"batched {cell['batched_events_per_sec']:>9,.0f} ev/s "
-            f"({cell['batched_speedup']:.2f}x)"
+            f"({cell['speedup']:.2f}x)"
         )
     write_bench_manifest(
         "detection",
@@ -241,7 +225,7 @@ def bench_detection_throughput(benchmark):
         },
     )
 
-    # All backends must produce byte-identical detection artifacts from
+    # Both paths must produce byte-identical detection artifacts from
     # the identical replayed stream — at every grid cell.
     for n_monitors, n_tagged in ATTACH_GRID:
         assert cells[f"m{n_monitors}x{n_tagged}"]["fingerprints_equal"], (
@@ -251,12 +235,7 @@ def bench_detection_throughput(benchmark):
     assert headline["detectors"] == 16
     assert headline["detection_events"] > 0
     # The shared observation plane's reason to exist: >= 2x detection
-    # event throughput at 16 attached detectors.
+    # event throughput over the legacy path at 16 attached detectors.
     assert headline["speedup"] >= 2.0, (
         f"expected >= 2x at 16 detectors, measured {headline['speedup']:.2f}x"
-    )
-    # And the batched kernel's: >= 3x over the legacy scalar path.
-    assert headline["batched_speedup"] >= 3.0, (
-        f"expected >= 3x batched at 16 detectors, "
-        f"measured {headline['batched_speedup']:.2f}x"
     )

@@ -213,12 +213,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     detector = BackoffMisbehaviorDetector(
         monitor,
         sender,
-        config=DetectorConfig(
-            sample_size=25,
-            known_n=5,
-            known_k=5,
-            stats_backend=args.stats_backend,
-        ),
+        config=DetectorConfig(sample_size=25, known_n=5, known_k=5),
         audit=audit,
         provenance=provenance,
     )
@@ -510,13 +505,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="OUT",
         default=None,
         help="export the detector decision audit log as JSONL to OUT",
-    )
-    demo.add_argument(
-        "--stats-backend",
-        choices=("scalar", "batched"),
-        default="scalar",
-        help="statistical backend for the detector: the scalar reference "
-        "path or the vectorized batched kernel (verdict-identical)",
     )
     demo.add_argument(
         "--provenance",

@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
 
 from repro.core.arma import ArmaTrafficEstimator
-from repro.core.batch import rank_sum_many
 from repro.core.bianchi import CompetingTerminalEstimator
 from repro.core.density import NodeDensityEstimator
 from repro.core.deterministic import (
@@ -59,7 +58,6 @@ from repro.util.caches import register_cache_reset
 from repro.util.units import Slots
 
 if TYPE_CHECKING:  # pragma: no cover - import-time only
-    from repro.core.batch import LazyArmaFeed, OccupancyFeed
     from repro.core.deterministic import DeterministicViolation
     from repro.core.observation import ObservedTransmission
     from repro.core.observatory import BatchScheduler, ObservatorySubscription
@@ -174,14 +172,6 @@ class DetectorConfig:
     #: byte-identical to pre-fault-injection versions, faulted runs get
     #: a reason code per quarantined observation.
     quarantine_audit: Optional[bool] = None
-    #: Statistical backend: ``"scalar"`` runs each rank-sum window and
-    #: estimator fold eagerly in pure python (the reference oracle);
-    #: ``"batched"`` routes through :mod:`repro.core.batch` — vectorized
-    #: rank-sum evaluation, numpy interval ledgers, and (under a
-    #: :class:`~repro.core.observatory.SharedChannelObservatory`)
-    #: deferred estimator folds plus dispatch-end window coalescing.
-    #: Every observable output is bit-identical between the two.
-    stats_backend: str = "scalar"
 
 
 class BackoffMisbehaviorDetector(SimulationListener):
@@ -215,11 +205,6 @@ class BackoffMisbehaviorDetector(SimulationListener):
         self.metrics = metrics
 
         cfg = self.config
-        if cfg.stats_backend not in ("scalar", "batched"):
-            raise ValueError(
-                f"stats_backend must be 'scalar' or 'batched', "
-                f"got {cfg.stats_backend!r}"
-            )
         #: True when the observer is an observatory subscription — the
         #: SharedChannelObservatory then drives all channel accounting
         #: and this detector must NOT be registered as an engine
@@ -286,11 +271,10 @@ class BackoffMisbehaviorDetector(SimulationListener):
         #: P(sender invisible to tagged | sensed)
         self._invisible_ewma: Optional[float] = None
         self._occupancy_samples = 0
-        # Batched-backend plumbing, wired by the observatory at attach;
-        # all None for the scalar backend and standalone detectors.
+        #: when set (the streaming service wires its session scheduler
+        #: here), ready windows are deferred to it instead of ranked at
+        #: ingest
         self._batch_scheduler: Optional["BatchScheduler"] = None
-        self._lazy_arma_feed: Optional["LazyArmaFeed"] = None
-        self._occupancy_feed: Optional["OccupancyFeed"] = None
 
     # -- listener plumbing -------------------------------------------------
 
@@ -395,8 +379,6 @@ class BackoffMisbehaviorDetector(SimulationListener):
     @property
     def rho(self) -> float:
         """Current ARMA traffic-intensity estimate."""
-        if self._lazy_arma_feed is not None:
-            self._lazy_arma_feed.sync()
         return self.arma.estimate
 
     def _record_occupancy(self, invisible: bool) -> None:
@@ -411,8 +393,6 @@ class BackoffMisbehaviorDetector(SimulationListener):
     @property
     def p_ib_scale(self) -> float:
         """Measured-over-uniform invisible-transmitter ratio (eq.-4 scale)."""
-        if self._occupancy_feed is not None:
-            self._occupancy_feed.sync()
         if (
             not self.config.occupancy_correction
             or self._invisible_ewma is None
@@ -644,9 +624,9 @@ class BackoffMisbehaviorDetector(SimulationListener):
         """Append a verdict plus its audit record and metric counts.
 
         ``audit_index``/``provenance_index`` are reserved log slots for
-        deferred (batched-backend) publication: the records land at the
-        exact positions an eager evaluation would have written, so log
-        interleaving across detectors is backend-invariant.
+        deferred (serve's scheduler) publication: the records land at
+        the exact positions an eager evaluation would have written, so
+        log interleaving across detectors is flush-cadence-invariant.
         ``window_meta`` likewise carries the window bookkeeping
         snapshotted at deferral time (the live deque may have advanced),
         and ``rho``/``quarantine_drops``/``skipped_samples`` the
@@ -784,19 +764,13 @@ class BackoffMisbehaviorDetector(SimulationListener):
             return
         scheduler = self._batch_scheduler
         if scheduler is not None:
-            # Observatory + batched backend: snapshot the ready window
-            # and let the dispatch-end flush rank it with its peers.
+            # Snapshot the ready window and let the scheduler's next
+            # flush rank it with its peers.
             scheduler.defer(self, slot)
             return
-        if self.config.stats_backend == "batched":
-            # Standalone batched detector: same kernel, batch of one.
-            x, y = self.test.window_snapshot()
-            result = rank_sum_many([x], [y], self.test.alternative)[0]
-        else:
-            _decision, scalar_result = self.test.evaluate()
-            if scalar_result is None:
-                return
-            result = scalar_result
+        _decision, result = self.test.evaluate()
+        if result is None:
+            return
         self._emit_rank_sum_verdict(result, slot)
 
     def _emit_rank_sum_verdict(
@@ -857,7 +831,7 @@ class BackoffMisbehaviorDetector(SimulationListener):
     def _finish_deferred_evaluation(
         self, pending: "_PendingWindow", result: "RankSumResult"
     ) -> None:
-        """Dispatch-end completion of a window deferred by the scheduler."""
+        """Flush-time completion of a window deferred by the scheduler."""
         self._emit_rank_sum_verdict(
             result,
             pending.slot,

@@ -76,9 +76,9 @@ class BackoffHypothesisTest:
     def window_snapshot(self) -> Tuple[List[float], List[float]]:
         """The current (x, y) window contents as independent lists.
 
-        The batched backend snapshots windows when they become ready and
-        evaluates them together at the dispatch-end flush; the copies
-        keep later ``add_sample`` calls from mutating a pending window.
+        Serve's scheduler snapshots windows when they become ready and
+        evaluates them together at its next flush; the copies keep later
+        ``add_sample`` calls from mutating a pending window.
         """
         return list(self._x), list(self._y)
 

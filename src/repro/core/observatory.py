@@ -38,15 +38,9 @@ import bisect
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.core.batch import (
-    IntervalLedger,
-    LazyArmaFeed,
-    OccupancyFeed,
-    rank_sum_many,
-)
 from repro.core.detector import BackoffMisbehaviorDetector, DetectorConfig
 from repro.core.observation import ChannelViewBase, ObservedTransmission
-from repro.core.ranksum import rank_sum_test
+from repro.core.ranksum import rank_sum_many, rank_sum_test
 from repro.obs.trace import PID_ENGINE, active_tracer
 from repro.sim.listeners import SimulationListener
 from repro.util.units import Slots
@@ -255,89 +249,6 @@ class MonitorChannel(ChannelViewBase):
             feed.replay(log, start, self)
 
 
-class BatchMonitorChannel(MonitorChannel):
-    """The ``stats_backend="batched"`` monitor channel.
-
-    Same canonical timeline semantics as :class:`MonitorChannel`, but
-    intervals live in numpy :class:`~repro.core.batch.IntervalLedger`
-    instances and the per-event estimator folds are *logged* instead of
-    run: :meth:`ingest_end` appends to the end-slot and occupancy logs,
-    and the :class:`~repro.core.batch.LazyArmaFeed` /
-    :class:`~repro.core.batch.OccupancyFeed` readers replay the exact
-    scalar fold sequence on demand.
-    """
-
-    def __init__(self, monitor_id: int) -> None:
-        MonitorChannel.__init__(self, monitor_id)
-        self._busy = IntervalLedger()
-        self._own = IntervalLedger()
-        #: dispatch slot of every end event this channel ingested (the
-        #: lazy ARMA feeds' replay script)
-        self._end_slot_log: List[int] = []
-        #: (sender, sensors-at-event-time) of every sensed foreign event
-        #: while occupancy detectors are subscribed
-        self._occ_log: List[Tuple[int, FrozenSet[int]]] = []
-        self._lazy_arma_by_key: Dict[_ArmaKey, LazyArmaFeed] = {}
-        self.lazy_arma_feeds: List[LazyArmaFeed] = []
-        #: feeds created before this channel's next event (their birth
-        #: slot — and their detectors' — is fixed by that event)
-        self._unborn_feeds: List[LazyArmaFeed] = []
-
-    # -- timeline mutators (ledger-backed) ---------------------------------
-
-    def _add_busy_interval(self, start: Slots, end: Slots) -> None:
-        self._busy.add(start, end)
-
-    def _add_own_interval(self, start: Slots, end: Slots) -> None:
-        self.monitor_tx_slots += end - start
-        self._own.add(start, end)
-
-    # -- queries (identical results, O(log n) on prefix sums) --------------
-
-    def busy_slots_in(self, start: Slots, end: Slots) -> Slots:
-        return self._busy.overlap(start, end)
-
-    def busy_intervals_in(self, start: Slots, end: Slots) -> List[Tuple[int, int]]:
-        return self._busy.intervals_in(start, end)
-
-    def own_tx_slots_in(self, start: Slots, end: Slots) -> Slots:
-        return self._own.overlap(start, end)
-
-    def ingest_end(
-        self,
-        slot: Slots,
-        key: int,
-        sender: int,
-        sensors: "FrozenSet[int]",
-        start_slot: Slots,
-        end_slot: Slots,
-        collided: bool,
-    ) -> None:
-        """The lean batched ingest: log now, fold on demand."""
-        monitor = self.monitor_id
-        if end_slot > self.last_slot:
-            self.last_slot = end_slot
-        if key in self._sensed_keys:
-            self._sensed_keys.remove(key)
-            self._busy.add(start_slot, end_slot)
-            if sender == monitor:
-                self.monitor_tx_slots += end_slot - start_slot
-                self._own.add(start_slot, end_slot)
-        self.events_ingested += 1
-        if sender != monitor and monitor in sensors:
-            # The terminal estimator is one cheap EWMA shared by every
-            # subscriber; fold it eagerly (tests read it mid-run).
-            for terminal in self.terminal_feeds:
-                terminal.record_attempt(collided=collided)
-            if self.occupancy_detectors:
-                self._occ_log.append((sender, sensors))
-        if self._unborn_feeds:
-            for feed in self._unborn_feeds:
-                feed.start(start_slot)
-            self._unborn_feeds.clear()
-        self._end_slot_log.append(slot)
-
-
 class ObservatorySubscription:
     """A detector's read-only, ``ChannelObserver``-compatible view.
 
@@ -432,7 +343,7 @@ class _PendingWindow:
     """One rank-sum-ready window, snapshotted at deferral time.
 
     The log indices were reserved when the window became ready, so the
-    dispatch-end fill lands every record exactly where an eager scalar
+    flush-time fill lands every record exactly where an eager
     evaluation would have written it; the (x, y) copies protect the
     window contents from later ``add_sample`` calls in the same flush
     cycle.  The rho/quarantine/skip counters are likewise frozen at
@@ -463,14 +374,15 @@ class _PendingWindow:
 class BatchScheduler:
     """Coalesces ready rank-sum windows across all detectors.
 
-    The scalar path tests each window at ingest, one scalar rank-sum
-    per detector per event.  Under the batched backend, detectors
-    *defer* ready windows here instead; at the end of the same
-    transmission-end dispatch the observatory flushes them through
-    :func:`repro.core.batch.rank_sum_many` in one vectorized call per
-    alternative.  Verdict slots, per-detector ordering, and the shared
-    audit/provenance interleaving are all preserved: the verdict slot
-    is captured at deferral, and the log positions were reserved then.
+    A detector tests each window at ingest, one scalar rank-sum per
+    ready window.  A detector whose ``_batch_scheduler`` points here (the
+    streaming service wires every link's detector to its session
+    scheduler) *defers* ready windows instead, and each :meth:`flush`
+    ranks them through :func:`repro.core.ranksum.rank_sum_many` in one
+    vectorized call per alternative.  Verdict slots, per-detector
+    ordering, and the shared audit/provenance interleaving are all
+    preserved: the verdict slot is captured at deferral, and the log
+    positions were reserved then.
     """
 
     def __init__(self) -> None:
@@ -522,9 +434,10 @@ class BatchScheduler:
         for entry in pending:
             groups.setdefault(entry.alternative, []).append(entry)
         for alternative, group in groups.items():
-            if len(group) <= 2:
-                # Below the kernel's numpy fixed cost; the scalar test
-                # is bit-identical by contract, so the fallback never
+            if len(group) <= 4:
+                # Below the kernel's numpy fixed cost (it overtakes the
+                # scalar loop at 5 windows); the scalar test is
+                # bit-identical by contract, so the fallback never
                 # moves a verdict.
                 results = [
                     rank_sum_test(entry.x, entry.y, alternative)
@@ -581,11 +494,6 @@ class SharedChannelObservatory(SimulationListener):
         self.detectors: List[BackoffMisbehaviorDetector] = []
         #: the process tracer when tracing is on (ingest/demux instants)
         self._tracer = active_tracer()
-        #: statistical backend, fixed by the first attach ("scalar" or
-        #: "batched"); mixing backends on one observatory is an error.
-        self._backend: Optional[str] = None
-        #: dispatch-end window coalescing (batched backend only)
-        self._scheduler = BatchScheduler()
 
     # -- subscription management -------------------------------------------
 
@@ -612,24 +520,9 @@ class SharedChannelObservatory(SimulationListener):
         hand-off manager forwards positions itself).
         """
         cfg = config if config is not None else DetectorConfig()
-        if self._backend is None:
-            self._backend = cfg.stats_backend
-        elif cfg.stats_backend != self._backend:
-            raise ValueError(
-                f"observatory already runs stats_backend={self._backend!r}; "
-                f"cannot attach a {cfg.stats_backend!r} detector"
-            )
-        if self._lazy and cfg.stats_backend != "scalar":
-            raise ValueError(
-                "lazy ingest supports only the scalar backend (batched "
-                "channels log every raw event themselves)"
-            )
         channel = self._channels.get(monitor_id) if not fresh_channel else None
         if channel is None:
-            if self._backend == "batched":
-                channel = BatchMonitorChannel(monitor_id)
-            else:
-                channel = MonitorChannel(monitor_id)
+            channel = MonitorChannel(monitor_id)
             self._channel_list.append(channel)
             self._monitor_index.setdefault(monitor_id, []).append(channel)
             channel._lazy_log_index = self._end_log_base + len(self._end_log)
@@ -674,35 +567,14 @@ class SharedChannelObservatory(SimulationListener):
             cfg.arma_interval_slots,
             detector.timing.exchange_slots,
         )
-        if isinstance(channel, BatchMonitorChannel):
-            lazy = channel._lazy_arma_by_key.get(key)
-            if lazy is None:
-                lazy = LazyArmaFeed(
-                    detector.arma, detector.timing.exchange_slots, channel
-                )
-                channel._lazy_arma_by_key[key] = lazy
-                channel.lazy_arma_feeds.append(lazy)
-                channel._unborn_feeds.append(lazy)
-            else:
-                # Late joiners share the estimator but (like the eager
-                # feed) do not inherit the feed's birth slot.
-                detector.arma = lazy.arma
-            lazy.detectors.append(detector)
-            detector._lazy_arma_feed = lazy
-            detector._batch_scheduler = self._scheduler
-            if cfg.occupancy_correction:
-                detector._occupancy_feed = OccupancyFeed(
-                    channel._occ_log, detector
-                )
+        feed = channel._arma_by_key.get(key)
+        if feed is None:
+            feed = _ArmaFeed(detector.arma, detector.timing.exchange_slots)
+            channel._arma_by_key[key] = feed
+            channel.arma_feeds.append(feed)
         else:
-            feed = channel._arma_by_key.get(key)
-            if feed is None:
-                feed = _ArmaFeed(detector.arma, detector.timing.exchange_slots)
-                channel._arma_by_key[key] = feed
-                channel.arma_feeds.append(feed)
-            else:
-                detector.arma = feed.arma
-            feed.detectors.append(detector)
+            detector.arma = feed.arma
+        feed.detectors.append(detector)
         terminal = channel._terminal_by_epoch.get(epoch)
         if terminal is None:
             channel._terminal_by_epoch[epoch] = detector.terminal_estimator
@@ -735,20 +607,6 @@ class SharedChannelObservatory(SimulationListener):
         for feed in channel.arma_feeds:
             if detector in feed.detectors:
                 feed.detectors.remove(detector)
-        # Batched backend: the lazy ARMA feed stays connected — in
-        # scalar mode the shared estimator keeps advancing while the
-        # channel lives, and sync-on-read reproduces exactly that (the
-        # log stops growing once the channel dies).  The occupancy EWMA
-        # is per-detector and freezes at detach in scalar mode, so fold
-        # it up to now and disconnect.
-        lazy = detector._lazy_arma_feed
-        if lazy is not None and detector in lazy.detectors:
-            lazy.detectors.remove(detector)
-        occupancy = detector._occupancy_feed
-        if occupancy is not None:
-            occupancy.sync()
-            detector._occupancy_feed = None
-        detector._batch_scheduler = None
         channel.subscribers -= 1
         if channel.subscribers <= 0:
             self._channel_list.remove(channel)
@@ -794,14 +652,8 @@ class SharedChannelObservatory(SimulationListener):
         Serve sessions enable this; the engine listener path never does
         (tests and analyses there inspect feed state mid-run and expect
         it eagerly current).  Call :meth:`sync_ingest` before reading
-        feed state from outside an ingest callback.  Scalar backend
-        only.
+        feed state from outside an ingest callback.
         """
-        if self._backend == "batched":
-            raise ValueError(
-                "lazy ingest supports only the scalar backend (batched "
-                "channels log every raw event themselves)"
-            )
         self._lazy = True
         tip = self._end_log_base + len(self._end_log)
         for channel in self._channel_list:
@@ -992,9 +844,6 @@ class SharedChannelObservatory(SimulationListener):
             detector = subscription._detector
             if detector is not None:
                 detector._process_new_observations(medium)
-        # Batched backend: evaluate every window deferred during this
-        # dispatch in one vectorized shot (no-op otherwise).
-        self._scheduler.flush()
 
     def ingest_positions(
         self,

@@ -55,7 +55,6 @@ class GridScenario:
     traffic: str = "poisson"      # "poisson" | "cbr"
     seed: int = 1
     medium_index: str = "auto"    # "auto" | "grid" | "brute"
-    tile_partition: bool = False
 
     def build(self, policies: Policies = None, mac_options: MacOptions = None) -> BuildResult:
         """Returns ``(simulation, sender, monitor)``."""
@@ -81,7 +80,6 @@ class GridScenario:
             config=SimulationConfig(
                 seed=self.seed,
                 medium_index=self.medium_index,
-                tile_partition=self.tile_partition,
             ),
             mac_options=mac_options,
         )
@@ -107,7 +105,6 @@ class RandomScenario:
     pause_time: float = 0.0
     seed: int = 1
     medium_index: str = "auto"    # "auto" | "grid" | "brute"
-    tile_partition: bool = False
 
     def build(self, policies: Policies = None, mac_options: MacOptions = None) -> BuildResult:
         """Returns ``(simulation, sender, monitor)``."""
@@ -151,7 +148,6 @@ class RandomScenario:
             config=SimulationConfig(
                 seed=self.seed,
                 medium_index=self.medium_index,
-                tile_partition=self.tile_partition,
             ),
             mac_options=mac_options,
         )
@@ -206,7 +202,6 @@ class RandomWaypointScenario:
     epoch_interval_s: float = 0.5
     seed: int = 1
     medium_index: str = "auto"      # "auto" | "grid" | "brute"
-    tile_partition: bool = False
 
     @property
     def side(self) -> Meters:
@@ -269,7 +264,6 @@ class RandomWaypointScenario:
                 seed=self.seed,
                 epoch_interval_s=self.epoch_interval_s,
                 medium_index=self.medium_index,
-                tile_partition=self.tile_partition,
             ),
             mac_options=mac_options,
         )

@@ -175,7 +175,7 @@ class SpatialGrid:
                         yield other
 
     def occupied_cells(self) -> List[Cell]:
-        """Sorted list of non-empty cell indices (for partitioning)."""
+        """Sorted list of non-empty cell indices."""
         return sorted(self._cells)
 
     def nodes_in(self, cell: Cell) -> Tuple[int, ...]:

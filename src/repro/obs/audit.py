@@ -101,8 +101,8 @@ class AuditRecord:
 
 
 #: Placeholder occupying a reserved slot until :meth:`DecisionAuditLog.fill`
-#: replaces it.  Identity-compared, never serialized: a batched-backend
-#: flush always fills every reservation within the same dispatch.
+#: replaces it.  Identity-compared, never serialized: serve's scheduler
+#: fills every reservation at its next flush, before any log is read.
 _DEFERRED = AuditRecord(
     slot=-1,
     monitor=-1,
@@ -116,11 +116,10 @@ _DEFERRED = AuditRecord(
 class DecisionAuditLog:
     """An append-only list of :class:`AuditRecord`, JSONL in and out.
 
-    The batched statistical backend evaluates rank-sum windows at the
-    end of a dispatch rather than at ingest; :meth:`reserve` /
-    :meth:`fill` let it keep each deferred record at the exact index an
-    eager evaluation would have written, so audit streams stay
-    byte-identical across backends.
+    Serve's scheduler evaluates rank-sum windows at its flush cadence
+    rather than at ingest; :meth:`reserve` / :meth:`fill` let it keep
+    each deferred record at the exact index an eager evaluation would
+    have written, so audit streams stay byte-identical at any cadence.
     """
 
     def __init__(self, records: Optional[Iterable[AuditRecord]] = None) -> None:

@@ -107,8 +107,8 @@ class ProvenanceRecord:
 
 
 #: Placeholder occupying a reserved slot until :meth:`ProvenanceLog.fill`
-#: replaces it.  Identity-compared, never serialized: a batched-backend
-#: flush always fills every reservation within the same dispatch.
+#: replaces it.  Identity-compared, never serialized: serve's scheduler
+#: fills every reservation at its next flush, before any log is read.
 _DEFERRED = ProvenanceRecord(
     verdict_id="<deferred>",
     slot=-1,
@@ -124,9 +124,9 @@ class ProvenanceLog:
     """An append-only list of :class:`ProvenanceRecord`, JSONL in/out.
 
     :meth:`reserve` / :meth:`fill` mirror the audit log's deferred-slot
-    protocol: the batched backend reserves a record's index when a
-    window becomes ready and fills it at the dispatch-end flush, keeping
-    record order byte-identical to the eager scalar backend.
+    protocol: serve's scheduler reserves a record's index when a window
+    becomes ready and fills it at its next flush, keeping record order
+    byte-identical to eager evaluation.
     """
 
     def __init__(

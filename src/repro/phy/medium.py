@@ -296,46 +296,6 @@ class Medium:
         self._compute_adjacency(node_id)
         return self._decodes_from[node_id]
 
-    def adjacency_snapshot(
-        self, node_ids: Iterable[int]
-    ) -> List[Tuple[int, List[int], List[int], List[int]]]:
-        """Sorted adjacency lists for ``node_ids`` (computing if needed).
-
-        Returns ``(node_id, sensed_from, sensed_by, decodes_from)``
-        tuples with each list sorted — a canonical, picklable form used
-        by the tile-partition prewarm to compute adjacency in forked
-        workers and ship it back (:mod:`repro.sim.partition`).
-        """
-        return [
-            (
-                node_id,
-                sorted(self._sensed_from_set(node_id)),
-                sorted(self._sensed_by_set(node_id)),
-                sorted(self._decodes_from_set(node_id)),
-            )
-            for node_id in node_ids
-        ]
-
-    def install_adjacency(
-        self,
-        node_id: int,
-        sensed_from: Iterable[int],
-        sensed_by: Iterable[int],
-        decodes_from: Iterable[int],
-    ) -> None:
-        """Install one node's adjacency sets (the prewarm write-back).
-
-        The sets must hold exactly what :meth:`_compute_adjacency`
-        would produce for the current positions — the caller computed
-        them (possibly in a forked worker) from this same medium state.
-        """
-        self._sensed_from[node_id] = set(sensed_from)
-        self._sensed_by[node_id] = set(sensed_by)
-        self._decodes_from[node_id] = set(decodes_from)
-        self._neighbors_cache.pop(node_id, None)
-        self._sensed_sources_cache.pop(node_id, None)
-        self._sensors_cache.pop(node_id, None)
-
     def _rebuild_sensing_index(self) -> None:
         """Recompute the incremental indexes under the new adjacency."""
         self._tx_count = {}

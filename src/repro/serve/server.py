@@ -2,7 +2,7 @@
 
 :class:`ServeSession` replays a wire stream (:mod:`repro.serve.records`)
 through the exact in-process machinery — a
-:class:`~repro.core.observatory.SharedChannelObservatory` of scalar
+:class:`~repro.core.observatory.SharedChannelObservatory` of
 :class:`~repro.core.detector.BackoffMisbehaviorDetector` subscriptions —
 via the observatory's medium-free ``ingest_*`` methods.  Three things
 distinguish it from a simulator run:
@@ -10,7 +10,7 @@ distinguish it from a simulator run:
 * **Coalesced evaluation.** Every detector's ready windows defer to one
   session-owned :class:`~repro.core.observatory.BatchScheduler` flushed
   every ``flush_every`` end events, so
-  :func:`~repro.core.batch.rank_sum_many` ranks hundreds-to-thousands of
+  :func:`~repro.core.ranksum.rank_sum_many` ranks a flush's worth of
   windows per call.  Because deferral snapshots the window *and* the
   provenance counters at the event that produced it, and log indices are
   reserved then, verdicts/audit/provenance are byte-identical to eager
@@ -100,15 +100,6 @@ class ServeConfig:
     shard_count: int = 1
 
     def __post_init__(self) -> None:
-        if self.detector.stats_backend != "scalar":
-            # Batched channels log every end slot forever (replay
-            # scripts for the lazy feeds) — unbounded by design.  The
-            # session gets its batching from the shared scheduler
-            # instead, over prunable scalar channels.
-            raise ValueError(
-                "ServeConfig requires stats_backend='scalar'; the session's "
-                "own BatchScheduler provides the vectorized evaluation"
-            )
         if self.flush_every < 1:
             raise ValueError(f"flush_every must be >= 1, got {self.flush_every}")
         if self.maintain_every < 0:
@@ -381,8 +372,8 @@ class ServeSession:
             metrics=self.link_metrics,
             provenance=provenance,
         )
-        # Scalar detectors evaluate eagerly on their own; pointing them
-        # at the session scheduler defers every ready window to the
+        # Detectors evaluate eagerly on their own; pointing them at the
+        # session scheduler defers every ready window to the
         # flush-cadence rank_sum_many batch instead (byte-identical —
         # the deferral snapshots window + counters and reserves log
         # indices at the producing event).

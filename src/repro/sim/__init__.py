@@ -13,7 +13,6 @@ iterate 15 million slots.
 from repro.sim.engine import EventKind, SimulationEngine
 from repro.sim.listeners import SimulationListener, StatsCollector
 from repro.sim.network import Flow, Simulation, SimulationConfig
-from repro.sim.trace import TraceRecord, TraceRecorder
 
 __all__ = [
     "EventKind",
@@ -23,6 +22,4 @@ __all__ = [
     "SimulationEngine",
     "SimulationListener",
     "StatsCollector",
-    "TraceRecord",
-    "TraceRecorder",
 ]

@@ -63,7 +63,6 @@ if TYPE_CHECKING:  # pragma: no cover - import-time only
     from repro.mac.dcf import DcfMac
     from repro.obs.listener import MetricsListener
     from repro.phy.medium import Medium
-    from repro.sim.partition import TilePartition
     from repro.topology.mobility import MobilityModel
 
 _Event = Tuple[int, int, int, Any]
@@ -100,14 +99,6 @@ class SimulationEngine:
     epoch_interval_s:
         Interval between mobility epochs (position + reachability
         rebuild), in seconds.
-    partition:
-        Optional :class:`repro.sim.partition.TilePartition`.  When set,
-        the reconcile pass advances nodes tile-by-tile (interiors
-        first, then the boundary band) and the partition prewarms
-        per-tile adjacency through the fork pool at every mobility
-        epoch.  Observable output is byte-identical with and without a
-        partition, and for any worker count (see
-        :mod:`repro.sim.partition` for the argument).
     """
 
     def __init__(
@@ -119,10 +110,8 @@ class SimulationEngine:
         mobility: Optional["MobilityModel"] = None,
         epoch_interval_s: float = 0.5,
         listeners: Optional[Iterable[SimulationListener]] = None,
-        partition: Optional["TilePartition"] = None,
     ) -> None:
         self.medium = medium
-        self.partition = partition
         self.macs: Dict[int, "DcfMac"] = dict(macs)
         self.timing = timing
         # The slot conversions behind these MacTiming properties walk a
@@ -305,8 +294,6 @@ class SimulationEngine:
         time_s = slot * self.timing.slot_time_us / 1e6
         positions = self.mobility.positions_at(time_s)
         self.medium.update_positions(positions)
-        if self.partition is not None:
-            self.partition.on_positions_updated(self.medium)
         for hook in self._positions_hooks:
             hook(slot, positions, self.medium)
         self.schedule(slot + self.epoch_slots, EventKind.MOBILITY_EPOCH)
@@ -381,25 +368,14 @@ class SimulationEngine:
         # ``backoff.remaining``/``anchor``) rather than the enum-valued
         # ``state`` property, which dominates the profile otherwise.
         #
-        # Two phases.  *Advance* (the loop): freeze / draw / resume each
-        # affected node — per-node mutations against per-node state and
-        # PRNGs, commuting across nodes, in sorted order (or the
-        # partition's tile-by-tile order, which a sharded loop would
-        # use).  *Schedule* (the tail): push the collected completions
-        # in ascending node-id order.  Only the schedule phase threads
-        # shared state (the event sequence counter), so fixing its
-        # order makes the serial, grid-indexed and tile-partitioned
-        # paths byte-identical by construction.
+        # Nodes advance (freeze / draw / resume) in ascending node-id
+        # order, and each resumed countdown schedules its completion as
+        # it goes, so the event sequence counter — the only shared state
+        # the pass threads — is consumed in that same order.
         macs = self.macs
         senses_busy = self.medium.senses_busy
         resume_anchor = slot + self._difs_slots
-        partition = self.partition
-        if partition is None:
-            order = sorted(affected)
-        else:
-            order = partition.advance_order(affected)
-        completions: List[Tuple[int, Slots, int]] = []
-        for node_id in order:
+        for node_id in sorted(affected):
             mac = macs.get(node_id)
             if mac is None or mac.transmitting:
                 continue
@@ -411,12 +387,8 @@ class SimulationEngine:
             if senses_busy(node_id):
                 backoff.freeze(slot)
             elif backoff.anchor is None:
-                completions.append(
-                    (node_id, backoff.resume(resume_anchor), backoff.generation)
+                self.schedule(
+                    backoff.resume(resume_anchor),
+                    EventKind.COUNTDOWN_COMPLETE,
+                    (node_id, backoff.generation),
                 )
-        if partition is not None:
-            completions.sort()
-        for node_id, completion, generation in completions:
-            self.schedule(
-                completion, EventKind.COUNTDOWN_COMPLETE, (node_id, generation)
-            )

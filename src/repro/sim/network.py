@@ -79,12 +79,8 @@ class SimulationConfig:
     """Everything needed to build a reproducible simulation.
 
     ``medium_index`` selects the reachability index (``"auto"`` /
-    ``"grid"`` / ``"brute"``, see :class:`repro.phy.medium.Medium`);
-    ``tile_partition`` shards the reconcile pass into spatial tiles of
-    ``tile_span`` sensing-radii each and prewarms per-tile adjacency
-    through the fork pool at mobility epochs
-    (:class:`repro.sim.partition.TilePartition`) — observable output is
-    byte-identical either way.
+    ``"grid"`` / ``"brute"``, see :class:`repro.phy.medium.Medium`) —
+    observable output is byte-identical either way.
     """
 
     seed: int = 1
@@ -96,8 +92,6 @@ class SimulationConfig:
     queue_capacity: int = 50
     epoch_interval_s: float = 0.5
     medium_index: str = "auto"
-    tile_partition: bool = False
-    tile_span: float = 4.0
 
 
 class Simulation:
@@ -152,14 +146,6 @@ class Simulation:
         )
         self.medium = Medium(self.channel, index=cfg.medium_index)
         self.medium.update_positions(initial_positions)
-        self.partition = None
-        if cfg.tile_partition:
-            from repro.sim.partition import TilePartition
-
-            self.partition = TilePartition.for_channel(
-                self.channel, span=cfg.tile_span
-            )
-            self.partition.on_positions_updated(self.medium)
 
         policies = policies or {}
         mac_options = mac_options or {}
@@ -190,7 +176,6 @@ class Simulation:
             traffic_sources=traffic_sources,
             mobility=self.mobility,
             epoch_interval_s=cfg.epoch_interval_s,
-            partition=self.partition,
         )
 
     def _build_source(self, flow: Flow) -> _TrafficSource:

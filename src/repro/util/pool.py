@@ -12,14 +12,15 @@ to the serial loop:
 * whenever the parallel path cannot be set up faithfully — one job, one
   item, no ``fork`` start method, unpicklable items or results, or a
   nested call from inside a worker — execution silently falls back to a
-  serial loop, which is always correct, just slower.
+  serial loop, which is always correct, just slower;
+* an exception raised by ``fn`` itself is *not* a setup failure: it
+  propagates from the parent once, chained to the worker's traceback,
+  and no item is re-run.
 
 Higher layers build policy on top of this mechanism:
 :mod:`repro.experiments.parallel` adds per-trial metrics-snapshot
-merging for experiment sweeps, and :mod:`repro.sim.partition` uses it to
-prewarm per-tile sensing adjacency at mobility epochs.  Keeping the
-substrate in ``util`` (rank 0 in the layering DAG) lets both of those —
-one above and one below ``experiments`` — share the same machinery.
+merging for experiment sweeps.  The substrate lives in ``util`` (rank 0
+in the layering DAG) so any layer can use it.
 
 Worker-count resolution (first match wins): the ``jobs=`` argument,
 :func:`set_default_jobs` (the CLI's ``--jobs`` flag), the ``REPRO_JOBS``
@@ -132,22 +133,27 @@ def fork_map(
         ctx = multiprocessing.get_context("fork")
     except ValueError:  # platform without fork (Windows): stay correct
         return [serial_fn(item) for item in items]
+    try:
+        # Probe the items here rather than catching pickling errors
+        # around the map, where they are indistinguishable from the
+        # same exception types raised by ``fn`` itself.
+        pickle.dumps(items)
+    except (pickle.PicklingError, AttributeError, TypeError):
+        return [serial_fn(item) for item in items]
     _WORK_FN = fn
     try:
-        with ctx.Pool(processes=jobs) as pool:
-            # chunksize=1: item costs are uneven (detection trials stop
-            # on a sample-count condition; boundary tiles are denser
-            # than interior ones), so fine-grained dispatch keeps the
-            # pool busy.
-            return pool.map(_invoke, items, chunksize=1)
-    except (
-        pickle.PicklingError,            # unpicklable work item
-        multiprocessing.pool.MaybeEncodingError,  # unpicklable result
-        AttributeError,
-        TypeError,
-        OSError,                         # fork/pipe failure
-    ):
-        # Work items are pure, so re-running serially is safe.
-        return [serial_fn(item) for item in items]
+        try:
+            pool = ctx.Pool(processes=jobs)
+        except OSError:  # fork/pipe failure
+            return [serial_fn(item) for item in items]
+        try:
+            with pool:
+                # chunksize=1: item costs are uneven (detection trials
+                # stop on a sample-count condition), so fine-grained
+                # dispatch keeps the pool busy.
+                return pool.map(_invoke, items, chunksize=1)
+        except multiprocessing.pool.MaybeEncodingError:  # unpicklable result
+            # Work items are pure, so re-running serially is safe.
+            return [serial_fn(item) for item in items]
     finally:
         _WORK_FN = None

@@ -12,6 +12,8 @@ from repro.phy.channel import Channel
 from repro.phy.medium import Medium
 from repro.sim.engine import EventKind, SimulationEngine
 from repro.sim.listeners import SimulationListener, StatsCollector
+from repro.sim.network import Flow, Simulation
+from repro.topology.placement import grid_positions
 from repro.traffic.queue import Packet
 
 
@@ -25,6 +27,19 @@ class _Recorder(SimulationListener):
 
     def on_transmission_end(self, slot, tx, success, medium):
         self.ends.append((slot, tx.sender, success, tx.start_slot, tx.end_slot))
+
+
+class _Lifecycle(SimulationListener):
+    """Every transmission start and outcome, in hook delivery order."""
+
+    def __init__(self):
+        self.events = []
+
+    def on_transmission_start(self, slot, tx, medium):
+        self.events.append((slot, "start", (tx.sender, tx.start_slot)))
+
+    def on_transmission_end(self, slot, tx, success, medium):
+        self.events.append((slot, "end", (tx.sender, tx.start_slot)))
 
 
 def _engine(positions, listeners=None):
@@ -175,3 +190,28 @@ class TestEngineMechanics:
         assert stats.transmissions == 1
         assert stats.successes == 1
         assert stats.success_ratio == 1.0
+
+    def test_every_start_has_one_outcome_in_slot_order(self):
+        """A real simulation's transmission stream is consistent: every
+        start is followed by exactly one outcome, and hook slots never
+        go backwards."""
+        sim = Simulation(
+            grid_positions(rows=1, cols=2),
+            flows=[Flow(source=0, destination=1, load=0.3)],
+        )
+        lifecycle = _Lifecycle()
+        sim.add_listener(lifecycle)
+        sim.run(0.5)
+        in_flight = set()
+        outcomes = 0
+        for _slot, kind, key in lifecycle.events:
+            if kind == "start":
+                assert key not in in_flight
+                in_flight.add(key)
+            else:
+                in_flight.remove(key)
+                outcomes += 1
+        assert outcomes > 0
+        assert not in_flight
+        slots = [slot for slot, _kind, _key in lifecycle.events]
+        assert slots == sorted(slots)

@@ -20,7 +20,6 @@ the fingerprints)::
 and commit the rewritten ``tests/golden/*.json`` with an explanation.
 """
 
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -43,14 +42,6 @@ from repro.traffic import queue as traffic_queue
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 CONFIG = DetectorConfig(sample_size=25, known_n=5, known_k=5)
-
-#: Both statistical backends must reproduce the SAME committed goldens:
-#: the batched kernel's equivalence contract is bit-exact p-values,
-#: verdict streams, audit records, and metrics snapshots.
-BACKENDS = {
-    "scalar": CONFIG,
-    "batched": dataclasses.replace(CONFIG, stats_backend="batched"),
-}
 
 
 def _fresh_process_state():
@@ -150,10 +141,10 @@ SCENARIOS = {
 }
 
 
-def capture(name, config=CONFIG):
+def capture(name):
     """Run one canonical scenario and produce its fingerprint dict."""
     _fresh_process_state()
-    detectors, audit, registry, extra = SCENARIOS[name](config)
+    detectors, audit, registry, extra = SCENARIOS[name](CONFIG)
     snapshot = registry.snapshot()
     fingerprint = {
         "scenario": name,
@@ -168,14 +159,11 @@ def capture(name, config=CONFIG):
     return fingerprint
 
 
-@pytest.mark.parametrize("backend", sorted(BACKENDS))
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_golden_fingerprint(name, backend, request):
+def test_golden_fingerprint(name, request):
     path = GOLDEN_DIR / f"{name}.json"
-    fingerprint = capture(name, BACKENDS[backend])
+    fingerprint = capture(name)
     if request.config.getoption("--update-golden"):
-        if backend != "scalar":
-            pytest.skip("goldens are regenerated from the scalar backend")
         GOLDEN_DIR.mkdir(exist_ok=True)
         path.write_text(json.dumps(fingerprint, indent=2, sort_keys=True) + "\n")
         pytest.skip(f"regenerated {path}")
@@ -184,7 +172,7 @@ def test_golden_fingerprint(name, backend, request):
     )
     golden = json.loads(path.read_text())
     assert fingerprint == golden, (
-        f"{name} [{backend} backend]: same-seed fingerprint drifted from "
+        f"{name}: same-seed fingerprint drifted from "
         f"{path.name} — if the change is intentional, rerun with "
         "--update-golden and commit"
     )

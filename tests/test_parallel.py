@@ -1,6 +1,7 @@
 """Determinism of repro.experiments.parallel under any worker count."""
 
 import json
+import multiprocessing.pool
 
 import pytest
 
@@ -15,6 +16,7 @@ from repro.obs.runtime import (
     reset_metrics,
     shared_registry,
 )
+from repro.util.pool import fork_map
 
 
 def _square(task):
@@ -73,6 +75,30 @@ class TestRunTrials:
 
     def test_nested_call_runs_serially(self):
         assert run_trials(_nested, [2, 5], jobs=2) == [[4, 9], [25, 36]]
+
+
+class TestForkMapErrors:
+    @pytest.mark.parametrize("error", [TypeError, AttributeError])
+    def test_trial_error_propagates_once_without_rerun(self, error, tmp_path):
+        """A bug inside a trial is not a pool setup failure: it surfaces
+        once, with the worker traceback, and no item runs twice."""
+        calls = tmp_path / "calls.txt"
+
+        def trial(item):
+            with open(calls, "a") as fh:
+                fh.write(f"{item}\n")
+            if item == 3:
+                raise error("trial bug")
+            return item
+
+        with pytest.raises(error, match="trial bug") as excinfo:
+            fork_map(trial, range(6), jobs=2)
+        ran = calls.read_text().split()
+        assert "3" in ran
+        assert len(ran) == len(set(ran)), f"items re-ran: {ran}"
+        assert isinstance(
+            excinfo.value.__cause__, multiprocessing.pool.RemoteTraceback
+        )
 
 
 class TestJobsResolution:

@@ -1,26 +1,17 @@
-"""Index and partition invariance: one observable output, many engines.
+"""Index invariance: one observable output from either reachability index.
 
-The spatial-hash medium index (`index="grid"` vs the all-pairs
-`"brute"` reference) and the tile-partitioned reconcile loop
-(`tile_partition=True` at any worker count) are pure execution
-strategies: the paper's numbers — every metric counter, audit record,
-observation, and verdict — must be byte-identical across all of them.
-This suite runs the mobile random scenario (mobility epochs exercise
-the incremental grid update and the per-epoch tile prewarm) under each
-strategy and compares full sha256 fingerprints, pinning the
-determinism argument of DESIGN.md §16:
-
-- grid index == brute index,
-- partitioned == unpartitioned,
-- partitioned at jobs 1 == 2 == 4 (fork-pool prewarm active).
+The spatial-hash medium index (`index="grid"`) is a pure execution
+strategy next to the all-pairs `"brute"` reference: the paper's numbers
+— every metric counter, audit record, observation, and verdict — must
+be byte-identical under both.  This suite runs the mobile random
+scenario (mobility epochs exercise the incremental grid update) under
+each index and compares full sha256 fingerprints, pinning the
+determinism argument of DESIGN.md §16.
 """
 
 import json
 
-import pytest
-
 from repro.experiments.scenarios import RandomScenario
-from repro.util.pool import set_default_jobs
 from tests.test_golden_fingerprints import (
     CONFIG,
     _audit_jsonl,
@@ -31,25 +22,16 @@ from tests.test_golden_fingerprints import (
 )
 
 
-def _capture(medium_index, tile_partition, jobs=1):
-    """Fingerprint one mobile detection run under the given strategy."""
-    set_default_jobs(jobs)
-    try:
-        _fresh_process_state()
-        detectors, audit, registry, _extra = _run_single(
-            CONFIG,
-            lambda: RandomScenario(
-                mobile=True,
-                seed=23,
-                medium_index=medium_index,
-                tile_partition=tile_partition,
-            ),
-            70,
-            120,
-            40.0,
-        )
-    finally:
-        set_default_jobs(1)
+def _capture(medium_index):
+    """Fingerprint one mobile detection run under the given index."""
+    _fresh_process_state()
+    detectors, audit, registry, _extra = _run_single(
+        CONFIG,
+        lambda: RandomScenario(mobile=True, seed=23, medium_index=medium_index),
+        70,
+        120,
+        40.0,
+    )
     return {
         "observations": sum(len(d.observations) for d in detectors),
         "verdicts": sum(len(d.verdicts) for d in detectors),
@@ -60,21 +42,5 @@ def _capture(medium_index, tile_partition, jobs=1):
     }
 
 
-@pytest.fixture(scope="module")
-def brute_fingerprint():
-    return _capture("brute", tile_partition=False)
-
-
-def test_grid_index_matches_brute_force(brute_fingerprint):
-    assert _capture("grid", tile_partition=False) == brute_fingerprint
-
-
-def test_partitioned_loop_matches_serial(brute_fingerprint):
-    assert _capture("grid", tile_partition=True) == brute_fingerprint
-
-
-@pytest.mark.parametrize("jobs", [2, 4])
-def test_partitioned_loop_invariant_across_jobs(jobs, brute_fingerprint):
-    """Fork-pool prewarm at any worker count changes nothing observable."""
-    fingerprint = _capture("grid", tile_partition=True, jobs=jobs)
-    assert fingerprint == brute_fingerprint
+def test_grid_index_matches_brute_force():
+    assert _capture("grid") == _capture("brute")

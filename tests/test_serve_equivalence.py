@@ -60,6 +60,20 @@ GOLDEN_SCENARIOS = ("grid-cheat", "mobile", "multi")
 
 JOBS = (1, 2, 4)
 
+#: Scheduler flush cadences in end events: eager, the default suite
+#: cadence, and a single flush at ``finish`` — the last makes every
+#: deterministic verdict publish between a window's deferral and its
+#: fill.  The default keeps its bare ``jobs`` id.
+CADENCES = [
+    pytest.param(
+        jobs,
+        flush_every,
+        id=str(jobs) if flush_every == 32 else f"{jobs}-flush{flush_every}",
+    )
+    for flush_every in (32, 1, 10**9)
+    for jobs in JOBS
+]
+
 
 def _fresh_process_state():
     traffic_queue._packet_ids = itertools.count()
@@ -109,28 +123,35 @@ def _captured_run(name: str):
     return _RUNS[name]
 
 
-def _serve_config(separation):
+def _serve_config(separation, flush_every=32):
     return ServeConfig(
         detector=CONFIG,
         separation=separation,
         discover=False,
-        flush_every=32,
+        flush_every=flush_every,
     )
 
 
 class TestServeEquivalence:
-    @pytest.mark.parametrize("jobs", JOBS)
+    @pytest.mark.parametrize("jobs, flush_every", CADENCES)
     @pytest.mark.parametrize("name", GOLDEN_SCENARIOS)
-    def test_replay_matches_in_process_reference(self, name, jobs):
+    def test_replay_matches_in_process_reference(self, name, jobs, flush_every):
+        """Serve's scheduler is the only user of the defer -> reserve ->
+        fill path; at every cadence it must match eager evaluation."""
         lines, pairs, separation, reference = _captured_run(name)
         result = run_serve(
-            iter(lines), _serve_config(separation), links=pairs, jobs=jobs
+            iter(lines),
+            _serve_config(separation, flush_every),
+            links=pairs,
+            jobs=jobs,
         )
         assert result.jobs == jobs
+        assert result.flushes > 0  # windows really went through deferral
         ref_print = result_fingerprint(reference)
         srv_print = result.fingerprint()
         assert srv_print["combined"] == ref_print["combined"], (
-            f"{name} at jobs={jobs}: streamed detection diverged from the "
+            f"{name} at jobs={jobs}, flush_every={flush_every}: streamed "
+            "detection diverged from the "
             f"in-process observatory (per-link: "
             f"{ {k: (srv_print['links'].get(k), v) for k, v in ref_print['links'].items() if srv_print['links'].get(k) != v} })"
         )

@@ -210,18 +210,3 @@ class TestMediumGridEquivalence:
     def test_unknown_index_mode_rejected(self):
         with pytest.raises(ValueError, match="index"):
             Medium(Channel(), index="quadtree")
-
-    def test_adjacency_snapshot_roundtrip(self):
-        """Prewarm transport: snapshot -> install reproduces the lazy sets."""
-        rng = RngStream(9, "snapshot")
-        positions = {i: rng.random_point(2000.0, 2000.0) for i in range(15)}
-        lazy = Medium(Channel(), index="grid")
-        lazy.update_positions(positions)
-        warmed = Medium(Channel(), index="grid")
-        warmed.update_positions(positions)
-        for node_id, sensed_from, sensed_by, decodes_from in lazy.adjacency_snapshot(
-            sorted(positions)
-        ):
-            assert sensed_from == sorted(sensed_from)
-            warmed.install_adjacency(node_id, sensed_from, sensed_by, decodes_from)
-        _assert_adjacency_equal(warmed, lazy, sorted(positions))
