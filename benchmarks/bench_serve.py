@@ -10,10 +10,10 @@ the detection-as-a-service design targets:
   detection state in KB per 10k tracked links from a tracemalloc-traced
   probe session over a fixed 10k-link slice (tracing costs ~5x wall
   time, and per-link state dominates, so the per-10k figure from the
-  probe is representative without tracing the full run).  This is the
-  scale the observatory's lazy ingest plane exists for: the eager plane
-  folds every event into every channel (O(links) per event) and never
-  finishes at 10^5 links on one box.
+  probe is representative without tracing the full run).  At this
+  scale the per-event cost must not grow with the link count: each
+  event touches only the channels it involves, and an idle link's ARMA
+  feed folds its own timeline only when read or at maintenance.
 * **verdict** — a small hot set (200 links) carrying deep streams
   (130 exchanges each), pricing the steady-state verdict pipeline:
   rank-sum windows batched at the flush cadence, incremental audit and

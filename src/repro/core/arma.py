@@ -10,19 +10,24 @@ the results are insensitive to alpha as long as it is close to 1).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
+from repro.util.units import Slots
 from repro.util.validation import check_in_range, check_positive
+
+if TYPE_CHECKING:  # pragma: no cover - import-time only
+    from repro.core.observation import ChannelViewBase
 
 
 class ArmaTrafficEstimator:
     """Smoothed estimate of the local traffic intensity rho.
 
     Feed it one *sample interval* at a time via :meth:`update` (the mean
-    busy fraction of the last ``s`` slots), or let it consume raw slot
+    busy fraction of the last ``s`` slots), let it consume raw slot
     counts with :meth:`ingest`, which buffers until a full interval is
-    available.  Until the first full interval the estimate reports the
-    running raw mean, so early reads are sensible rather than zero.
+    available, or hand it a busy timeline with :meth:`fold`.  Until the
+    first full interval the estimate reports the running raw mean, so
+    early reads are sensible rather than zero.
     """
 
     def __init__(
@@ -83,12 +88,42 @@ class ArmaTrafficEstimator:
         self._pending_total += total_slots
         s = self.sample_interval_slots
         while self._pending_total >= s:
-            # Apportion the buffered busy mass to one interval.  Counts
-            # arrive in coarse chunks (per contention period), so an
-            # exact per-slot split is not available; the proportional
-            # split preserves the mean, which is all eq. 6 uses.
+            if self._pending_total == s:
+                # The counts close the interval exactly: fold its exact
+                # busy count and leave nothing pending.
+                busy = self._pending_busy
+                self._pending_busy = 0.0
+                self._pending_total = 0.0
+                self.update(min(busy / s, 1.0))
+                return
+            # Counts straddling a boundary say nothing about where their
+            # busy slots fall, so the pending fraction is apportioned to
+            # the completed interval.  :meth:`fold` cuts at boundaries and
+            # only ever reaches this branch with nothing busy pending.
             fraction = self._pending_busy / self._pending_total
             take_busy = fraction * s
             self.update(min(max(take_busy / s, 0.0), 1.0))
             self._pending_total -= s
             self._pending_busy = max(self._pending_busy - take_busy, 0.0)
+
+    def fold(self, view: "ChannelViewBase", start: Slots, end: Slots) -> None:
+        """Ingest ``view``'s busy timeline over ``[start, end)``.
+
+        The span is cut at sample-interval boundaries (counted from the
+        first folded slot), so every completed interval folds its exact
+        busy count and rho is a function of the timeline alone: folding
+        ``[a, c)`` equals folding ``[a, b)`` then ``[b, c)``, bit for
+        bit, for every ``b``.  Once on a boundary with nothing busy
+        past the cursor, the idle rest goes to :meth:`ingest` in one
+        call (each idle interval still folds one :meth:`update`).
+        """
+        s = self.sample_interval_slots
+        cursor = start
+        while cursor < end:
+            pending = int(self._pending_total)
+            if pending == 0 and not view.busy_after(cursor):
+                self.ingest(0, end - cursor)
+                return
+            stop = min(end, cursor + s - pending)
+            self.ingest(view.busy_slots_in(cursor, stop), stop - cursor)
+            cursor = stop

@@ -61,7 +61,7 @@ if TYPE_CHECKING:  # pragma: no cover - import-time only
     from repro.core.deterministic import DeterministicViolation
     from repro.core.observation import ObservedTransmission
     from repro.core.observatory import BatchScheduler, ObservatorySubscription
-    from repro.core.observatory import _PendingWindow
+    from repro.core.observatory import _ArmaFeed, _PendingWindow
     from repro.core.ranksum import RankSumResult
     from repro.core.records import Verdict as _Verdict
     from repro.mac.constants import MacTiming
@@ -271,6 +271,9 @@ class BackoffMisbehaviorDetector(SimulationListener):
         #: P(sender invisible to tagged | sensed)
         self._invisible_ewma: Optional[float] = None
         self._occupancy_samples = 0
+        #: the observatory's shared ARMA feed (None on a private
+        #: observer, which folds per event in _advance_arma)
+        self._arma_feed: Optional["_ArmaFeed"] = None
         #: when set (the streaming service wires its session scheduler
         #: here), ready windows are deferred to it instead of ranked at
         #: ingest
@@ -372,13 +375,14 @@ class BackoffMisbehaviorDetector(SimulationListener):
         target = slot - self.timing.exchange_slots
         if target <= self._arma_cursor:
             return
-        idle, busy = self.observer.idle_busy_counts(self._arma_cursor, target)
-        self.arma.ingest(busy, idle + busy)
+        self.arma.fold(self.observer, self._arma_cursor, target)
         self._arma_cursor = target
 
     @property
     def rho(self) -> float:
         """Current ARMA traffic-intensity estimate."""
+        if self._arma_feed is not None:
+            self._arma_feed.settle()
         return self.arma.estimate
 
     def _record_occupancy(self, invisible: bool) -> None:

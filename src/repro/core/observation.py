@@ -234,7 +234,6 @@ class ChannelViewBase:
         self._own_starts: List[int] = []
         self._own_ends: List[int] = []
         self.monitor_tx_slots = 0    # air time of the monitor's own frames
-        self.last_slot = 0
 
     # -- busy/idle accounting ----------------------------------------------------
 
@@ -402,6 +401,8 @@ class ChannelObserver(ChannelViewBase, SimulationListener):
             faults = active_schedule()
         #: injected link faults (None = clean channel, the default)
         self.faults = faults
+        #: largest end slot of any transmission seen
+        self.last_slot = 0
         # In-flight transmissions we flagged as sensed at their start.
         self._sensed_active: Dict[int, bool] = {}
         self._decodable_active: Dict[int, bool] = {}

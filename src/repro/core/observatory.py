@@ -16,9 +16,12 @@ ingests each transmission **once** and fans the result out cheaply:
   frozensets;
 * one :class:`MonitorChannel` (busy timeline + own-tx ledger) exists per
   monitor node, shared by every detector observing from that node;
-* per-channel *feeds* advance the ARMA traffic estimator and the
-  Bianchi competing-terminal estimator once per event and are shared by
-  every same-configuration detector on the channel;
+* per-channel *feeds* — the ARMA traffic estimator, folded from the
+  channel's timeline when rho is read, and the Bianchi competing-
+  terminal estimator — are shared by every same-configuration detector
+  on the channel;
+* each event touches only the channels it involves, so the per-event
+  cost does not grow with the number of idle channels;
 * detectors subscribe via :class:`ObservatorySubscription` — a
   read-only, ``ChannelObserver``-compatible view plus a private
   ``ObservedTransmission`` demux of their tagged node.
@@ -34,7 +37,6 @@ observer could never have seen — use ``fresh_channel=True`` there.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Set, Tuple
 
@@ -62,114 +64,63 @@ _ArmaKey = Tuple[int, float, int, int]
 
 
 class _ArmaFeed:
-    """One shared ARMA ingest stream on a :class:`MonitorChannel`.
+    """One shared ARMA fold over a :class:`MonitorChannel`'s timeline.
 
-    Mirrors ``BackoffMisbehaviorDetector._advance_arma`` exactly: the
-    cursor starts at the first event's start slot (which also fixes the
-    subscribed detectors' birth slot) and only slots older than one full
-    exchange are ingested.  Every detector whose (arma_alpha,
-    arma_interval_slots, exchange_slots, attach epoch) matches shares
-    this feed's estimator instance.
+    Mirrors ``BackoffMisbehaviorDetector._advance_arma``: the cursor
+    starts at the birth slot — the tx start slot of the first end event
+    after the feed was created, which also fixes the subscribed
+    detectors' birth slot — and only slots older than one full exchange
+    before the observatory's present are folded.  The fold is
+    chunking-invariant (:meth:`ArmaTrafficEstimator.fold`), so settling
+    on read gives the rho that folding at every end event would.  Every
+    detector whose (arma_alpha, arma_interval_slots, exchange_slots,
+    attach epoch) matches shares this feed's estimator instance.
     """
 
-    __slots__ = ("arma", "exchange_slots", "cursor", "birth_slot", "detectors")
+    __slots__ = (
+        "arma",
+        "exchange_slots",
+        "cursor",
+        "birth_slot",
+        "detectors",
+        "channel",
+        "_observatory",
+    )
 
-    def __init__(self, arma: "ArmaTrafficEstimator", exchange_slots: int) -> None:
+    def __init__(
+        self,
+        arma: "ArmaTrafficEstimator",
+        exchange_slots: int,
+        channel: "MonitorChannel",
+        observatory: "SharedChannelObservatory",
+    ) -> None:
         self.arma = arma
         self.exchange_slots = exchange_slots
         self.cursor = 0
         self.birth_slot: Optional[int] = None
         self.detectors: List[BackoffMisbehaviorDetector] = []
+        self.channel = channel
+        self._observatory = observatory
 
-    def advance(
-        self, slot: Slots, tx_start_slot: Slots, channel: "MonitorChannel"
-    ) -> None:
-        """Ingest finalized slots up to ``slot - exchange_slots``."""
-        if self.birth_slot is None:
-            birth = tx_start_slot
-            self.birth_slot = birth
-            self.cursor = birth
-            for detector in self.detectors:
-                detector._birth_slot = birth
-                detector._arma_cursor = birth
-        target = slot - self.exchange_slots
-        if target <= self.cursor:
-            return
-        idle, busy = channel.idle_busy_counts(self.cursor, target)
-        self.arma.ingest(busy, idle + busy)
-        self.cursor = target
+    def set_birth(self, birth_slot: Slots) -> None:
+        """Fix the birth slot (and the fold cursor) of the feed."""
+        self.birth_slot = birth_slot
+        self.cursor = birth_slot
+        for detector in self.detectors:
+            detector._birth_slot = birth_slot
 
-    def replay(
-        self,
-        log: "List[Tuple[Slots, Slots, Slots]]",
-        start: int,
-        channel: "MonitorChannel",
-    ) -> None:
-        """Advance through deferred end events, fold-for-fold identical
-        to :meth:`advance` having been called at each one.
+    def settle(self) -> None:
+        """Fold finalized slots up to ``present_slot - exchange_slots``.
 
-        ``log`` holds one entry per *distinct* dispatch slot — exactly
-        the granularity :meth:`advance` folds at, since repeat calls at
-        an unchanged slot hit the ``target <= cursor`` early return.
-        Chunking matters in exactly two places, and both are honored:
-        busy slots are apportioned by the fraction pending when an
-        interval completes, so (a) entries are folded one at a time
-        while busy intervals remain past the cursor, and (b) once the
-        remaining stretch is pure idle, entries merge freely *between*
-        interval boundaries (accumulating into the pending buffer is
-        associative) while each boundary-crossing entry folds alone.
-        With nothing busy pending at all the fraction is identically
-        ``0.0`` under any chunking and the whole tail merges into one
-        ingest.  Every branch is bit-identical to the per-event
-        sequence.
+        A dead channel (no subscribers left) stays frozen where its last
+        detach settled it, like a retired private observer.
         """
-        i = start
-        n = len(log)
-        if self.birth_slot is None and i < n:
-            # Birth comes from the first event after feed creation,
-            # exactly as the eager per-event advance fixes it.
-            slot, tx_start, _end = log[i]
-            self.advance(slot, tx_start, channel)
-            i += 1
-        arma = self.arma
-        exchange = self.exchange_slots
-        while i < n and channel.busy_after(self.cursor):
-            target = log[i][0] - exchange
-            i += 1
-            if target <= self.cursor:
-                continue
-            idle, busy = channel.idle_busy_counts(self.cursor, target)
-            arma.ingest(busy, idle + busy)
+        if self.birth_slot is None or self.channel.subscribers <= 0:
+            return
+        target = self._observatory.present_slot - self.exchange_slots
+        if target > self.cursor:
+            self.arma.fold(self.channel, self.cursor, target)
             self.cursor = target
-        if i >= n:
-            return
-        last_target = log[n - 1][0] - exchange
-        if last_target <= self.cursor:
-            return
-        if arma.pending_busy == 0.0:
-            arma.ingest(0, last_target - self.cursor)
-            self.cursor = last_target
-            return
-        s = arma.sample_interval_slots
-        while i < n:
-            # Entries below `bound` cannot complete an interval even
-            # merged; the first at or past it must fold alone so the
-            # apportioning fraction sees its exact chunk.
-            bound = self.cursor + exchange + (s - arma.pending_total)
-            j = bisect.bisect_left(log, (bound,), i, n)
-            if j > i:
-                merged = log[j - 1][0] - exchange
-                if merged > self.cursor:
-                    arma.ingest(0, merged - self.cursor)
-                    self.cursor = merged
-                i = j
-                if i >= n:
-                    return
-            target = log[i][0] - exchange
-            i += 1
-            if target > self.cursor:
-                arma.ingest(0, target - self.cursor)
-                self.cursor = target
 
 
 class MonitorChannel(ChannelViewBase):
@@ -178,75 +129,36 @@ class MonitorChannel(ChannelViewBase):
     def __init__(self, monitor_id: int) -> None:
         ChannelViewBase.__init__(self)
         self.monitor_id = monitor_id
-        #: id(transmission) of in-flight transmissions sensed at start
-        self._sensed_keys: Set[int] = set()
-        #: end events ingested since this channel was created; feeds are
-        #: keyed by the value at attach time so only detectors that
-        #: joined at the same point in the stream share state.
-        self.events_ingested = 0
         self._arma_by_key: Dict[_ArmaKey, _ArmaFeed] = {}
         self.arma_feeds: List[_ArmaFeed] = []
         self._terminal_by_epoch: Dict[int, "CompetingTerminalEstimator"] = {}
         self.terminal_feeds: List["CompetingTerminalEstimator"] = []
-        #: lazy-ingest bookkeeping: position in the observatory's
-        #: end-event log / raw event count this channel has absorbed
-        #: (see SharedChannelObservatory.enable_lazy_ingest)
-        self._lazy_log_index = 0
-        self._lazy_events = 0
         #: detectors with occupancy correction enabled (per-tagged EWMA)
         self.occupancy_detectors: List[BackoffMisbehaviorDetector] = []
         #: live subscriptions reading this channel
         self.subscribers = 0
 
-    def ingest_end(
-        self,
-        slot: Slots,
-        key: int,
-        sender: int,
-        sensors: "FrozenSet[int]",
-        start_slot: Slots,
-        end_slot: Slots,
-        collided: bool,
+    def add_transmission(
+        self, sender: int, start_slot: Slots, end_slot: Slots
     ) -> None:
-        """Absorb one end event: timeline, estimator feeds, bookkeeping."""
-        monitor = self.monitor_id
-        if end_slot > self.last_slot:
-            self.last_slot = end_slot
-        if key in self._sensed_keys:
-            self._sensed_keys.remove(key)
-            self._add_busy_interval(start_slot, end_slot)
-            if sender == monitor:
-                self._add_own_interval(start_slot, end_slot)
-        self.events_ingested += 1
-        if sender != monitor and monitor in sensors:
-            # Every sensed attempt feeds the shared collision-
-            # probability estimate behind the density inversion.
-            for terminal in self.terminal_feeds:
-                terminal.record_attempt(collided=collided)
-            for detector in self.occupancy_detectors:
-                if sender != detector.tagged_id:
-                    detector._record_occupancy(
-                        invisible=detector.tagged_id not in sensors
-                    )
-        for feed in self.arma_feeds:
-            feed.advance(slot, start_slot, self)
+        """Close a transmission this node sensed at its start."""
+        self._add_busy_interval(start_slot, end_slot)
+        if sender == self.monitor_id:
+            self._add_own_interval(start_slot, end_slot)
 
-    def replay_deferred(
-        self, log: "List[Tuple[Slots, Slots, Slots]]", start: int
+    def record_attempt(
+        self, sender: int, sensors: "FrozenSet[int]", collided: bool
     ) -> None:
-        """Catch up on end events this channel was not involved in.
-
-        Reproduces exactly what per-event :meth:`ingest_end` calls with
-        no sensed key, no own traffic, and a foreign non-sensing sender
-        would have done: bump ``last_slot`` and advance the ARMA feeds.
-        (``events_ingested`` is settled by the observatory, which knows
-        the raw event count behind the distinct-slot log.)
-        """
-        last_end = log[-1][2]
-        if last_end > self.last_slot:
-            self.last_slot = last_end
-        for feed in self.arma_feeds:
-            feed.replay(log, start, self)
+        """Feed one foreign attempt this node sensed at its end."""
+        # Every sensed attempt feeds the shared collision-probability
+        # estimate behind the density inversion.
+        for terminal in self.terminal_feeds:
+            terminal.record_attempt(collided=collided)
+        for detector in self.occupancy_detectors:
+            if sender != detector.tagged_id:
+                detector._record_occupancy(
+                    invisible=detector.tagged_id not in sensors
+                )
 
 
 class ObservatorySubscription:
@@ -315,7 +227,7 @@ class ObservatorySubscription:
 
     @property
     def last_slot(self) -> int:
-        return self.channel.last_slot
+        return self._observatory.last_slot
 
     @property
     def _busy_starts(self) -> List[int]:
@@ -471,21 +383,21 @@ class SharedChannelObservatory(SimulationListener):
         self._channels: Dict[int, MonitorChannel] = {}
         #: every live channel, shared and fresh, in creation order
         self._channel_list: List[MonitorChannel] = []
-        #: monitor id -> every live channel on that node, shared and
-        #: fresh (the lazy ingest plane's dispatch index)
+        #: monitor id -> every live channel on that node, shared and fresh
         self._monitor_index: Dict[int, List[MonitorChannel]] = {}
-        #: lazy mode (serve): defer uninvolved channels' idle accounting
-        self._lazy = False
-        #: channels holding each in-flight sensed key (lazy mode only;
-        #: lets ingest_end find start-time sensors without a scan)
+        #: channels that sensed each in-flight key at its start
         self._sensed_by_key: Dict[int, List[MonitorChannel]] = {}
-        #: one entry per distinct end-event dispatch slot:
-        #: (slot, first event's tx start slot, cumulative max end slot)
-        self._end_log: List[Tuple[Slots, Slots, Slots]] = []
-        #: absolute index of _end_log[0] (entries before it were trimmed)
-        self._end_log_base = 0
-        #: raw end events absorbed by the lazy plane
-        self._end_events = 0
+        #: end events ingested; feeds are keyed by the value at attach
+        #: time so only detectors that joined at the same point in the
+        #: stream share state
+        self.events_ingested = 0
+        #: largest end slot ingested (every subscription's last_slot)
+        self.last_slot: Slots = 0
+        #: latest end-event dispatch slot; feeds fold up to one exchange
+        #: before it
+        self.present_slot: Slots = 0
+        #: feeds whose birth slot the next end event fixes
+        self._unborn: List[_ArmaFeed] = []
         #: tagged id -> subscriptions, in attach order (= audit order)
         self._subs_by_tagged: Dict[int, List[ObservatorySubscription]] = {}
         #: units receiving position epochs (detectors, hand-off managers)
@@ -525,13 +437,8 @@ class SharedChannelObservatory(SimulationListener):
             channel = MonitorChannel(monitor_id)
             self._channel_list.append(channel)
             self._monitor_index.setdefault(monitor_id, []).append(channel)
-            channel._lazy_log_index = self._end_log_base + len(self._end_log)
-            channel._lazy_events = self._end_events
             if not fresh_channel:
                 self._channels[monitor_id] = channel
-        elif self._lazy:
-            # Feed epochs key on events_ingested: settle it first.
-            self._sync_channel(channel)
         subscription = ObservatorySubscription(
             self, channel, monitor_id, tagged_id
         )
@@ -559,7 +466,7 @@ class SharedChannelObservatory(SimulationListener):
         self, channel: MonitorChannel, detector: BackoffMisbehaviorDetector
     ) -> None:
         """Point the detector at the channel's shared estimator feeds."""
-        epoch = channel.events_ingested
+        epoch = self.events_ingested
         cfg = detector.config
         key: _ArmaKey = (
             epoch,
@@ -569,12 +476,16 @@ class SharedChannelObservatory(SimulationListener):
         )
         feed = channel._arma_by_key.get(key)
         if feed is None:
-            feed = _ArmaFeed(detector.arma, detector.timing.exchange_slots)
+            feed = _ArmaFeed(
+                detector.arma, detector.timing.exchange_slots, channel, self
+            )
             channel._arma_by_key[key] = feed
             channel.arma_feeds.append(feed)
+            self._unborn.append(feed)
         else:
             detector.arma = feed.arma
         feed.detectors.append(detector)
+        detector._arma_feed = feed
         terminal = channel._terminal_by_epoch.get(epoch)
         if terminal is None:
             channel._terminal_by_epoch[epoch] = detector.terminal_estimator
@@ -607,6 +518,10 @@ class SharedChannelObservatory(SimulationListener):
         for feed in channel.arma_feeds:
             if detector in feed.detectors:
                 feed.detectors.remove(detector)
+            if channel.subscribers == 1:
+                # The last subscriber is leaving: freeze the feed at the
+                # present before the dead channel stops settling.
+                feed.settle()
         channel.subscribers -= 1
         if channel.subscribers <= 0:
             self._channel_list.remove(channel)
@@ -632,70 +547,38 @@ class SharedChannelObservatory(SimulationListener):
         """Forward mobility epochs to ``unit`` (e.g. a MonitorHandoff)."""
         self._position_units.append(unit)
 
-    # -- lazy ingest plane (serve) -----------------------------------------
-
-    def enable_lazy_ingest(self) -> None:
-        """Defer uninvolved channels' per-event idle accounting.
-
-        The eager ingest plane touches every live channel on every end
-        event — an uninvolved channel still folds the event's slots
-        into its ARMA feeds as idle — which is O(channels) per event
-        and fatal when one session tracks 10^5 links.  In lazy mode
-        ``ingest_end`` touches only the channels the event can affect
-        (sensing monitors, the sender's own node, the demux targets)
-        and records the event in a shared distinct-slot log; every
-        other channel replays the log on its next involvement.  The
-        replay is fold-for-fold identical to the eager plane (see
-        :meth:`_ArmaFeed.replay`), so observations, verdicts and logs
-        stay byte-identical; only the *timing* of the idle folds moves.
-
-        Serve sessions enable this; the engine listener path never does
-        (tests and analyses there inspect feed state mid-run and expect
-        it eagerly current).  Call :meth:`sync_ingest` before reading
-        feed state from outside an ingest callback.
-        """
-        self._lazy = True
-        tip = self._end_log_base + len(self._end_log)
-        for channel in self._channel_list:
-            channel._lazy_log_index = tip
-            channel._lazy_events = self._end_events
-
     def sync_ingest(self) -> None:
-        """Catch every lazy channel up and trim the shared event log."""
-        if not self._lazy:
-            return
+        """Settle every live feed to the present.
+
+        Feeds otherwise fold when a detector reads rho; call this before
+        reading feed state (cursors, estimators) from outside.
+        """
         for channel in self._channel_list:
-            self._sync_channel(channel)
-        self._end_log_base += len(self._end_log)
-        self._end_log.clear()
+            for feed in channel.arma_feeds:
+                feed.settle()
 
-    def _sync_channel(self, channel: MonitorChannel) -> None:
-        """Replay whatever end events a lazy channel has deferred."""
-        start = channel._lazy_log_index - self._end_log_base
-        if start < len(self._end_log):
-            channel.replay_deferred(self._end_log, start)
-            channel._lazy_log_index = self._end_log_base + len(self._end_log)
-        behind = self._end_events - channel._lazy_events
-        if behind:
-            channel.events_ingested += behind
-            channel._lazy_events = self._end_events
+    def _channels_of(
+        self, nodes: "FrozenSet[int]", extra: Optional[int] = None
+    ) -> List[MonitorChannel]:
+        """Live channels whose monitor is in ``nodes`` or is ``extra``.
 
-    def _log_end_event(
-        self, slot: Slots, start_slot: Slots, end_slot: Slots
-    ) -> None:
-        """Append one end event to the distinct-slot log."""
-        self._end_events += 1
-        log = self._end_log
-        if log and log[-1][0] == slot:
-            # Same dispatch slot: feed folds are idempotent (the target
-            # is unchanged), so only the cumulative end max can move.
-            prev = log[-1]
-            if end_slot > prev[2]:
-                log[-1] = (slot, prev[1], end_slot)
-        else:
-            if log and log[-1][2] > end_slot:
-                end_slot = log[-1][2]
-            log.append((slot, start_slot, end_slot))
+        Walks whichever is smaller, the channel list or ``nodes``; both
+        give the same set.
+        """
+        channels = self._channel_list
+        if len(channels) <= len(nodes):
+            return [
+                channel
+                for channel in channels
+                if channel.monitor_id in nodes or channel.monitor_id == extra
+            ]
+        index = self._monitor_index
+        found: List[MonitorChannel] = []
+        for node in nodes:
+            found.extend(index.get(node, ()))
+        if extra is not None and extra not in nodes:
+            found.extend(index.get(extra, ()))
+        return found
 
     # -- medium-free ingest plane ------------------------------------------
     #
@@ -714,24 +597,9 @@ class SharedChannelObservatory(SimulationListener):
         decodable_monitors: "FrozenSet[int]",
     ) -> None:
         """Mark one transmission start: sensed keys and decode flags."""
-        if self._lazy:
-            index = self._monitor_index
-            sensed: List[MonitorChannel] = []
-            for node in sensors:
-                for channel in index.get(node, ()):
-                    channel._sensed_keys.add(key)
-                    sensed.append(channel)
-            if sender not in sensors:
-                for channel in index.get(sender, ()):
-                    channel._sensed_keys.add(key)
-                    sensed.append(channel)
-            if sensed:
-                self._sensed_by_key[key] = sensed
-        else:
-            for channel in self._channel_list:
-                monitor = channel.monitor_id
-                if monitor == sender or monitor in sensors:
-                    channel._sensed_keys.add(key)
+        sensed = self._channels_of(sensors, sender)
+        if sensed:
+            self._sensed_by_key[key] = sensed
         subs = self._subs_by_tagged.get(sender)
         if not subs:
             return
@@ -752,50 +620,31 @@ class SharedChannelObservatory(SimulationListener):
         sensors: "FrozenSet[int]",
         medium: "Optional[Medium]" = None,
     ) -> None:
-        """Absorb one transmission end: timelines, demux, evaluation."""
+        """Absorb one transmission end: timelines, demux, evaluation.
+
+        Only the channels the event involves are touched: those that
+        sensed it at start close its busy interval, and those whose
+        monitor senses it now feed their terminal and occupancy
+        estimators.  ARMA feeds fold lazily, when rho is read.
+        """
+        self.events_ingested += 1
+        self.present_slot = slot
+        if end_slot > self.last_slot:
+            self.last_slot = end_slot
+        if self._unborn:
+            for feed in self._unborn:
+                feed.set_birth(start_slot)
+            self._unborn.clear()
+        # Sensed at start closes the busy interval even if the monitor
+        # moved out of the end-time sensor set (mobility); a channel
+        # detached while the transmission was in flight is dead.
+        for channel in self._sensed_by_key.pop(key, ()):
+            if channel.subscribers > 0:
+                channel.add_transmission(sender, start_slot, end_slot)
         collided = not success
-        if self._lazy:
-            index = self._monitor_index
-            involved: Dict[int, MonitorChannel] = {}
-            for node in sensors:
-                for channel in index.get(node, ()):
-                    involved[id(channel)] = channel
-            for channel in index.get(sender, ()):
-                involved[id(channel)] = channel
-            # Sensed at start but outside the end-time sensor set
-            # (mobility): the in-flight key still closes a busy
-            # interval on those channels.  A channel detached while the
-            # transmission was in flight is dead (subscribers == 0) and
-            # must be skipped, exactly as the eager channel-list loop
-            # no longer visits it.
-            for channel in self._sensed_by_key.pop(key, ()):
-                if channel.subscribers > 0:
-                    involved[id(channel)] = channel
-            demux_subs = self._subs_by_tagged.get(sender)
-            if demux_subs:
-                for subscription in demux_subs:
-                    involved[id(subscription.channel)] = subscription.channel
-            for channel in involved.values():
-                self._sync_channel(channel)
-            self._log_end_event(slot, start_slot, end_slot)
-            tip = self._end_log_base + len(self._end_log)
-            for channel in involved.values():
-                channel.ingest_end(
-                    slot, key, sender, sensors, start_slot, end_slot, collided
-                )
-                channel._lazy_log_index = tip
-                channel._lazy_events = self._end_events
-        else:
-            for channel in self._channel_list:
-                channel.ingest_end(
-                    slot,
-                    key,
-                    sender,
-                    sensors,
-                    start_slot,
-                    end_slot,
-                    collided,
-                )
+        for channel in self._channels_of(sensors):
+            if channel.monitor_id != sender:
+                channel.record_attempt(sender, sensors, collided)
         subs = self._subs_by_tagged.get(sender)
         if self._tracer is not None:
             self._tracer.instant(

@@ -36,7 +36,7 @@ detector depends on it, not the other way around.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
@@ -90,7 +90,9 @@ class AuditRecord:
             )
 
     def to_dict(self) -> Dict[str, object]:
-        return asdict(self)
+        # Every field is a scalar: the flat dict asdict() builds, without
+        # its recursive copy.
+        return {name: getattr(self, name) for name in AUDIT_FIELDS}
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "AuditRecord":

@@ -26,7 +26,7 @@ object per line, byte-stable for a fixed seed.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Union
 
@@ -96,7 +96,15 @@ class ProvenanceRecord:
     skipped_samples: int = 0
 
     def to_dict(self) -> Dict[str, object]:
-        return asdict(self)
+        # The list and dict fields hold only scalars, so a one-level copy
+        # equals asdict()'s deep copy at a fraction of its cost.
+        out: Dict[str, object] = {}
+        for name in PROVENANCE_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, (list, dict)):
+                value = value.copy()
+            out[name] = value
+        return out
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "ProvenanceRecord":

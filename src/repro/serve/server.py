@@ -314,9 +314,6 @@ class ServeSession:
     ) -> None:
         self.config = config if config is not None else ServeConfig()
         self.observatory = SharedChannelObservatory()
-        # O(involved channels) per event instead of O(all channels) —
-        # byte-identical artifacts, mandatory at serve link counts.
-        self.observatory.enable_lazy_ingest()
         self.scheduler = BatchScheduler()
         self.stream_metrics = MetricsRegistry()
         self.link_metrics = MetricsRegistry()
@@ -569,8 +566,8 @@ class ServeSession:
     def _maintain(self) -> None:
         """Prune timelines and compact demuxes behind live query reach."""
         self._ends_since_maintain = 0
-        # Settle deferred idle folds (and trim the shared event log)
-        # before reading feed cursors as prune horizons.
+        # Feeds fold on read; settle them all before reading their
+        # cursors as prune horizons.
         self.observatory.sync_ingest()
         pruned = self._prune_timelines()
         compacted = 0

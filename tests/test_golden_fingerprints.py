@@ -7,10 +7,11 @@ fixed seed produces — event ordering, estimator arithmetic, audit
 record contents, metric counter names — trips these tests byte-for-byte
 instead of silently shifting the reproduction's numbers.
 
-The committed goldens were captured *before* the fault-injection
-subsystem landed, so they double as the proof that ``repro.faults``
-(disabled, its default) is a pure no-op: same-seed metrics/audit streams
-are byte-identical to the pre-faults tree.
+The goldens were last regenerated when the ARMA fold switched to exact
+per-interval busy counts (paper eq. 6).  That moved rho, and with it
+the detector, audit and serve-stream hashes; every verdict list,
+observation count and metrics snapshot stayed the same.  The runs use
+the default fault-free channel (``repro.faults`` disabled).
 
 To regenerate intentionally (after a change that is *supposed* to move
 the fingerprints)::

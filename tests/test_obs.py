@@ -7,6 +7,7 @@ the process-wide runtime switch the engine consults.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -235,6 +236,15 @@ class TestAuditLog:
         data["extra"] = 1
         with pytest.raises(ValueError):
             AuditRecord.from_dict(data)
+
+    def test_to_dict_equals_asdict(self):
+        record = _record(p_value=0.01, statistic=3.5, threshold=0.05,
+                         sample_size=25)
+        data = record.to_dict()
+        assert data == dataclasses.asdict(record)
+        assert tuple(data) == AUDIT_FIELDS
+        data["slot"] = -1
+        assert record.slot == 100
 
 
 # -- metrics listener on a real simulation ------------------------------------

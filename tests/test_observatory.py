@@ -36,6 +36,7 @@ from repro.obs.audit import DecisionAuditLog
 from repro.obs.registry import MetricsRegistry
 from repro.phy.channel import Channel
 from repro.phy.medium import Medium, Transmission
+from repro.sim.listeners import SimulationListener
 from repro.traffic import queue as traffic_queue
 
 CONFIG = DetectorConfig(sample_size=25, known_n=5, known_k=5)
@@ -160,6 +161,8 @@ class TestMultiDetectorEquivalence:
             assert det_l.observations == det_s.observations
             assert det_l.verdicts == det_s.verdicts
             assert det_l.observer.observed == det_s.observer.observed
+            # Feeds fold on read: this settles feeds the dispatch skipped.
+            assert det_l.rho == det_s.rho
         assert _audit_sha(audit_l) == _audit_sha(audit_s)
         assert len(audit_l.records) == len(audit_s.records) > 0
         assert metrics_l.snapshot() == metrics_s.snapshot()
@@ -223,6 +226,22 @@ class TestViewCompatibility:
             )
         assert subscription.observed == observer.observed
 
+    def test_last_slot_tracks_every_end_event(self):
+        _fresh_run_state()
+        scenario = MultiMonitorGridScenario(seed=7)
+        sim, pairs = scenario.build()
+        observatory = SharedChannelObservatory()
+        sim.add_listener(observatory)
+        for monitor, tagged in pairs:
+            observatory.attach(
+                monitor, tagged, config=CONFIG, separation=scenario.separation
+            )
+        checker = _LastSlotChecker(observatory)
+        sim.add_listener(checker)  # dispatched after the observatory
+        sim.run(1.0)
+        assert checker.ends > 100
+        assert checker.mismatches == 0
+
     def test_joint_state_counts_interop(self):
         observer, subscription = self._run_pair()
         end = observer.last_slot
@@ -230,6 +249,24 @@ class TestViewCompatibility:
         pure = joint_state_counts(observer, observer, 0, end)
         assert mixed == pure
         assert sum(mixed.values()) == end
+
+
+class _LastSlotChecker(SimulationListener):
+    """Counts end events after which some subscription's ``last_slot``
+    differs from the largest end slot ingested so far."""
+
+    def __init__(self, observatory):
+        self.subscriptions = [d.observer for d in observatory.detectors]
+        self.largest = 0
+        self.ends = 0
+        self.mismatches = 0
+
+    def on_transmission_end(self, slot, transmission, success, medium):
+        self.ends += 1
+        self.largest = max(self.largest, transmission.end_slot)
+        self.mismatches += sum(
+            sub.last_slot != self.largest for sub in self.subscriptions
+        )
 
 
 def _toy_plane():

@@ -7,7 +7,9 @@ observation -> window -> rank-sum chain for **every** accusation in the
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import json
 
 import pytest
 
@@ -64,6 +66,19 @@ class TestProvenanceRecord:
 
     def test_to_dict_keys_match_schema(self):
         assert tuple(_record().to_dict()) == PROVENANCE_FIELDS
+
+    def test_to_dict_equals_asdict_and_copies_containers(self):
+        record = _record()
+        data = record.to_dict()
+        assert data == dataclasses.asdict(record)
+        assert json.dumps(data, sort_keys=True) == json.dumps(
+            dataclasses.asdict(record), sort_keys=True
+        )
+        for name in ("observation_ids", "observation_slots", "dictated",
+                     "estimated"):
+            data[name].append(99)
+        data["quarantine_drops"]["corrupt"] = 1
+        assert record == _record()
 
     def test_from_dict_rejects_unknown_keys(self):
         data = _record().to_dict()

@@ -42,8 +42,10 @@ from repro.serve.capture import (
     synthetic_links,
     synthetic_stream,
 )
+from repro.serve.records import EndEvent
 from repro.serve.server import (
     ServeConfig,
+    ServeSession,
     export_detector,
     result_fingerprint,
 )
@@ -218,6 +220,31 @@ class TestServeEquivalence:
         assert discovered <= set(pairs)
         assert all(link.discovered for link in result.links)
         assert sum(len(link.observations) for link in result.links) > 0
+
+
+def test_subscriptions_report_the_latest_end_slot():
+    """``last_slot`` is ChannelObserver-compatible mid-stream: every
+    subscription reads the largest end slot ingested so far, whether or
+    not its own channel took part in the latest events."""
+    session = ServeSession(ServeConfig(detector=CONFIG))
+    largest = 0
+    checks = 0
+    for count, line in enumerate(synthetic_stream(400, 2), 1):
+        event = session.handle_line(line)
+        if isinstance(event, EndEvent):
+            largest = max(largest, event.observed.end_slot)
+        if count % 300 == 0:
+            states = list(session.table.states())
+            assert len(states) > 1
+            stale = [
+                (state.monitor, state.tagged)
+                for state in states
+                if state.subscription.last_slot != largest
+            ]
+            assert not stale, f"{len(stale)} of {len(states)} links stale"
+            checks += 1
+    assert largest > 0
+    assert checks >= 4
 
 
 # -- bounded-memory soak ---------------------------------------------------
