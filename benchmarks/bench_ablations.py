@@ -23,13 +23,13 @@ from repro.core.ranksum import rank_sum_test
 from repro.experiments.parallel import run_trials
 from repro.experiments.runner import (
     collect_detection_samples,
-    scaled,
     windowed_detection_rate,
 )
 from repro.experiments.scenarios import GridScenario
 from repro.geometry.regions import RegionModel
 from repro.mac.backoff import contention_window
 from repro.obs.bench import write_bench_manifest
+from repro.util.fidelity import scaled
 
 SAMPLE_SIZE = 25
 PM = 50

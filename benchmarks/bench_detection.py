@@ -38,7 +38,6 @@ from repro.core.detector import (
     reset_region_cache,
 )
 from repro.core.observatory import SharedChannelObservatory
-from repro.experiments.runner import fidelity_scale
 from repro.experiments.scenarios import MultiMonitorGridScenario
 from repro.mac.misbehavior import PercentageMisbehavior
 from repro.obs.audit import DecisionAuditLog
@@ -46,6 +45,7 @@ from repro.obs.bench import write_bench_manifest
 from repro.obs.registry import MetricsRegistry
 from repro.phy.medium import Medium
 from repro.sim.listeners import SimulationListener
+from repro.util.fidelity import fidelity_scale
 
 SEED = 7
 BASE_DURATION_S = 15.0

@@ -21,7 +21,6 @@ across PRs is tracked.
 
 from __future__ import annotations
 
-from repro.experiments.runner import scaled
 from repro.experiments.scenarios import (
     GridScenario,
     RandomScenario,
@@ -31,6 +30,7 @@ from repro.obs.bench import write_bench_manifest
 from repro.obs.listener import MetricsListener
 from repro.obs.profile import Stopwatch
 from repro.obs.registry import MetricsRegistry
+from repro.util.fidelity import scaled
 
 SEED = 7
 LOAD = 0.6

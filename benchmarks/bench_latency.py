@@ -13,9 +13,10 @@ from __future__ import annotations
 from repro.analysis.latency import detection_latency
 from repro.core.detector import DetectorConfig
 from repro.experiments.parallel import run_trials
-from repro.experiments.runner import collect_detection_samples, scaled
+from repro.experiments.runner import collect_detection_samples
 from repro.experiments.scenarios import GridScenario
 from repro.obs.bench import write_bench_manifest
+from repro.util.fidelity import scaled
 
 
 def _latency_for(pm, seed, sample_size=25):

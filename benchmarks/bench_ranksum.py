@@ -26,8 +26,8 @@ import random
 import time
 
 from repro.core.ranksum import rank_sum_many, rank_sum_test
-from repro.experiments.runner import fidelity_scale
 from repro.obs.bench import write_bench_manifest
+from repro.util.fidelity import fidelity_scale
 
 SEED = 11
 WINDOW = 25

@@ -2,19 +2,15 @@
 
 Post-processes a detector's sample/verdict stream into the quantities a
 deployment (or a reviewer) asks about: how *fast* a cheater is caught,
-the ROC trade-off as the significance level sweeps, and summary
-statistics of the estimation error.
+and summary statistics of the estimation error.
 """
 
 from repro.analysis.latency import DetectionLatency, detection_latency
-from repro.analysis.roc import RocPoint, roc_sweep
 from repro.analysis.summary import EstimationSummary, summarize_estimation
 
 __all__ = [
     "DetectionLatency",
     "EstimationSummary",
-    "RocPoint",
     "detection_latency",
-    "roc_sweep",
     "summarize_estimation",
 ]

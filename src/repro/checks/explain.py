@@ -76,7 +76,7 @@ handle.""",
 RPR301 — public function missing type annotations
 
 The annotated scopes (core/, mac/, sim/, obs/, phy/, geometry/,
-routing/, experiments/) carry the engine-detector contract and the
+serve/, experiments/) carry the engine-detector contract and the
 unit-flow analysis (RPR5xx) reads their annotations as ground truth.
 An unannotated public function is a hole in both.
 
@@ -178,7 +178,7 @@ RPR701 — import against the layer DAG
 The packages form a dependency DAG:
 
     util < geometry/traffic < phy/topology < mac < faults < sim
-         < routing < core < experiments < analysis < cli
+         < obs/checks < core < experiments < analysis/serve < cli
 
 A lower layer importing a higher one (e.g. obs importing experiments)
 creates a cycle-in-waiting and lets infrastructure depend on policy.

@@ -10,7 +10,7 @@ pass checks the declared DAG on every run:
 .. code-block:: text
 
     util < geometry/traffic < phy/topology < mac < faults < sim
-         < routing < core < experiments < analysis/serve < cli
+         < obs/checks < core < experiments < analysis/serve < cli
 
 * **RPR701** — a module imports from a *higher* layer (module scope;
   ``if TYPE_CHECKING:`` imports and lazy function-scoped imports of
@@ -45,7 +45,6 @@ LAYER_RANKS: Dict[str, int] = {
     "repro.mac": 3,
     "repro.faults": 4,
     "repro.sim": 5,
-    "repro.routing": 6,
     "repro.obs": 6,
     "repro.checks": 6,
     "repro.core": 7,
@@ -137,7 +136,7 @@ class LayeringPass:
                     f"imports {edge.target} ({dst_pkg} is layer "
                     f"{dst_rank}); dependencies must flow "
                     "util -> geometry/traffic -> phy/topology -> mac -> "
-                    "faults -> sim -> routing -> core -> experiments -> "
+                    "faults -> sim -> obs/checks -> core -> experiments -> "
                     "analysis -> cli",
                 )
 

@@ -117,7 +117,6 @@ _ANNOTATION_SCOPES: Tuple[str, ...] = (
     "mac",
     "obs",
     "phy",
-    "routing",
     "serve",
     "sim",
 )

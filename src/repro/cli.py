@@ -657,7 +657,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         enable_runtime_checks()
 
     if getattr(args, "jobs", None) is not None:
-        from repro.experiments.parallel import set_default_jobs
+        from repro.util.pool import set_default_jobs
 
         set_default_jobs(args.jobs)
 

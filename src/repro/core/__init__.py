@@ -40,7 +40,6 @@ from repro.core.observatory import (
 )
 from repro.core.ranksum import RankSumResult, rank_sum_test, wilcoxon_ranks
 from repro.core.records import BackoffObservation, Verdict
-from repro.core.reputation import ReputationConfig, ReputationTracker
 from repro.core.sysstate import SystemStateEstimator, SystemStateProbabilities
 
 __all__ = [
@@ -62,8 +61,6 @@ __all__ = [
     "ObservedTransmission",
     "RankSumResult",
     "SharedChannelObservatory",
-    "ReputationConfig",
-    "ReputationTracker",
     "SequenceOffsetVerifier",
     "SystemStateEstimator",
     "SystemStateProbabilities",

@@ -104,6 +104,14 @@ def reset_region_cache() -> None:
     _region_cache.clear()
 
 
+#: Discard samples whose estimate exceeds this many times (CW + 1) slots.
+PLAUSIBILITY_SLACK = 2.0
+#: Tolerance of the deterministic countdown bound, in slots.
+COUNTDOWN_TOLERANCE = 6
+#: EWMA factor for the occupancy tracker.
+OCCUPANCY_ALPHA = 0.99
+
+
 @dataclass
 class DetectorConfig:
     """Tunables of the detection framework."""
@@ -133,18 +141,11 @@ class DetectorConfig:
     known_k: Optional[float] = None
     #: Representative-interferer geometry; None -> RegionModel defaults.
     region_model: Optional[RegionModel] = None
-    #: Discard samples whose estimate exceeds slack * (CW + 1) slots.
-    plausibility_slack: float = 2.0
     #: Discard samples whose *busy* slot count exceeds
     #: ``max_busy_factor * (CW + 1)``: the p(I|B) term's estimation error
     #: scales linearly with the busy mass, so a countdown stretched over
     #: thousands of busy slots carries more model error than signal.
     max_busy_factor: float = 8.0
-    #: Tolerance of the deterministic countdown bound, in slots.
-    countdown_tolerance: int = 6
-    #: Evaluate the hypothesis test every ``test_stride`` new samples
-    #: once the window is full (1 = every sample).
-    test_stride: int = 1
     #: Samples observed before this slot are used for the online
     #: estimators and the deterministic verifiers but not for the
     #: hypothesis test: while traffic ramps up and the ARMA/density
@@ -157,21 +158,12 @@ class DetectorConfig:
     #: scales p(I|B) by measured-over-uniform.  Essential under mobility,
     #: near-neutral on the uniform grid.
     occupancy_correction: bool = True
-    #: EWMA factor for the occupancy tracker.
-    occupancy_alpha: float = 0.99
     #: Only attempts up to this number enter the statistical window.
     #: High-attempt intervals are long (CW up to 1023), so any error in
     #: p(I|B) is amplified by thousands of busy slots; attempts 1-3 are
     #: the bulk of the traffic and estimate conservatively.  Deterministic
     #: checks still run on every attempt.
     max_test_attempt: int = 3
-    #: Emit an audit record + metric counter for every quarantined
-    #: observation (missing/corrupt announced fields).  ``None`` (the
-    #: default) auto-enables exactly when the observer has an injected
-    #: fault schedule — clean runs keep their audit/metrics streams
-    #: byte-identical to pre-fault-injection versions, faulted runs get
-    #: a reason code per quarantined observation.
-    quarantine_audit: Optional[bool] = None
 
 
 class BackoffMisbehaviorDetector(SimulationListener):
@@ -234,19 +226,16 @@ class BackoffMisbehaviorDetector(SimulationListener):
         )
         self.seq_verifier = SequenceOffsetVerifier()
         self.attempt_verifier = AttemptNumberVerifier()
-        self.countdown_verifier = UnambiguousCountdownVerifier(
-            cfg.countdown_tolerance
-        )
+        self.countdown_verifier = UnambiguousCountdownVerifier(COUNTDOWN_TOLERANCE)
 
         #: quarantined (undecodable/corrupt-announcement) observation
-        #: counts by reason code — always tracked, audit-gated emission.
+        #: counts by reason code — always tracked.  Each one also gets an
+        #: audit record + metric counter exactly when the observer has an
+        #: injected fault schedule: clean runs keep their audit/metrics
+        #: streams byte-identical to pre-fault-injection versions, faulted
+        #: runs get a reason code per quarantined observation.
         self.quarantine_counts: Dict[str, int] = {}
-        if cfg.quarantine_audit is None:
-            self._quarantine_audit = (
-                getattr(self.observer, "faults", None) is not None
-            )
-        else:
-            self._quarantine_audit = cfg.quarantine_audit
+        self._quarantine_audit = getattr(self.observer, "faults", None) is not None
         #: accepted BackoffObservation samples
         self.observations: List[BackoffObservation] = []
         self.skipped_samples = 0
@@ -255,7 +244,6 @@ class BackoffMisbehaviorDetector(SimulationListener):
         self.violations: List["DeterministicViolation"] = []
         self._arma_cursor = 0
         self._processed = 0          # observer.observed entries consumed
-        self._samples_since_test = 0
         #: (observation index, slot, ranked x, ranked y) of the samples
         #: currently inside the statistical window — mirrors the
         #: hypothesis test's sample deque so a verdict's provenance can
@@ -390,7 +378,7 @@ class BackoffMisbehaviorDetector(SimulationListener):
         if self._invisible_ewma is None:
             self._invisible_ewma = value
         else:
-            alpha = self.config.occupancy_alpha
+            alpha = OCCUPANCY_ALPHA
             self._invisible_ewma = alpha * self._invisible_ewma + (1 - alpha) * value
         self._occupancy_samples += 1
 
@@ -525,7 +513,7 @@ class BackoffMisbehaviorDetector(SimulationListener):
             freeze_periods = b_est / max(self.timing.exchange_slots, 1)
             difs_cost = self.timing.difs_slots * (1.0 + freeze_periods)
             estimated = max(i_est - difs_cost, 0.0)
-        if estimated > self.config.plausibility_slack * (window + 1):
+        if estimated > PLAUSIBILITY_SLACK * (window + 1):
             self._skip_sample()
             return
 
@@ -556,13 +544,7 @@ class BackoffMisbehaviorDetector(SimulationListener):
         self._window_meta.append(
             (len(self.observations) - 1, current.start_slot, x, y)
         )
-        self._samples_since_test += 1
-        if (
-            self.test.window_full
-            and self._samples_since_test >= self.config.test_stride
-        ):
-            self._samples_since_test = 0
-            self._evaluate(current.start_slot)
+        self._evaluate(current.start_slot)
 
     # -- verdicts ------------------------------------------------------------
 
@@ -864,9 +846,3 @@ class BackoffMisbehaviorDetector(SimulationListener):
     def flagged_malicious(self) -> bool:
         """True if any verdict so far deems the tagged node malicious."""
         return any(v.is_malicious for v in self.verdicts)
-
-    def reset_window(self) -> None:
-        """Clear the statistical window (e.g., after a monitor hand-off)."""
-        self.test.reset()
-        self._window_meta.clear()
-        self._samples_since_test = 0

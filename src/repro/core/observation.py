@@ -179,9 +179,9 @@ def joint_state_counts(
     p(S busy | R idle) = IB / (II + IB).
 
     Accepts anything exposing ``busy_intervals_in`` (a
-    :class:`ChannelObserver`, an observatory channel, or a subscription
-    view).  Implemented as one merged sweep over both clipped interval
-    lists: O(R + S) after the clip, no per-boundary binary searches.
+    :class:`ChannelObserver` or an observatory channel).  Implemented as
+    one merged sweep over both clipped interval lists: O(R + S) after
+    the clip, no per-boundary binary searches.
     """
     counts = {"II": 0, "IB": 0, "BI": 0, "BB": 0}
     if end <= start:
@@ -233,7 +233,6 @@ class ChannelViewBase:
         self._busy_ends: List[int] = []
         self._own_starts: List[int] = []
         self._own_ends: List[int] = []
-        self.monitor_tx_slots = 0    # air time of the monitor's own frames
 
     # -- busy/idle accounting ----------------------------------------------------
 
@@ -257,7 +256,6 @@ class ChannelViewBase:
 
     def _add_own_interval(self, start: Slots, end: Slots) -> None:
         """Record one of the monitor's own tx periods (arrive in order)."""
-        self.monitor_tx_slots += end - start
         self._own_starts.append(start)
         self._own_ends.append(end)
 
@@ -303,25 +301,6 @@ class ChannelViewBase:
         ends = self._busy_ends
         return bool(ends) and ends[-1] > slot
 
-    def idle_stretches_in(self, start: Slots, end: Slots) -> int:
-        """Number of maximal idle stretches within [start, end).
-
-        Each stretch costs the sender a DIFS before it may resume its
-        countdown, so the detector subtracts one DIFS per stretch from
-        the estimated countdown budget.
-        """
-        if end <= start:
-            return 0
-        stretches = 0
-        cursor = start
-        for lo, hi in self.busy_intervals_in(start, end):
-            if lo > cursor:
-                stretches += 1
-            cursor = max(cursor, hi)
-        if cursor < end:
-            stretches += 1
-        return stretches
-
     def own_tx_slots_in(self, start: Slots, end: Slots) -> Slots:
         """Slots in [start, end) spent transmitting by the monitor itself.
 
@@ -344,13 +323,6 @@ class ChannelViewBase:
                 total += hi - lo
             i += 1
         return total
-
-    def traffic_intensity(self, start: Slots, end: Slots) -> float:
-        """Fraction of busy slots over [start, end) (the paper's rho)."""
-        if end <= start:
-            return 0.0
-        _idle, busy = self.idle_busy_counts(start, end)
-        return busy / (end - start)
 
     def prune_before(self, horizon: Slots) -> int:
         """Drop timeline intervals that end at or before ``horizon``.
@@ -381,9 +353,7 @@ class ChannelObserver(ChannelViewBase, SimulationListener):
     monitor_id:
         The observing node.
     tagged_id:
-        The neighbor being monitored (the paper's "tagged node").  May
-        be changed later with :meth:`retag` (used under mobility when
-        the monitor hands off).
+        The neighbor being monitored (the paper's "tagged node").
     """
 
     def __init__(
@@ -463,10 +433,3 @@ class ChannelObserver(ChannelViewBase, SimulationListener):
                     impairment=impairment,
                 )
             )
-
-    def retag(self, new_tagged_id: int, drop_history: bool = True) -> None:
-        """Switch the tagged node (monitor hand-off under mobility)."""
-        self.tagged_id = new_tagged_id
-        if drop_history:
-            self.observed.clear()
-            self._decodable_active.clear()

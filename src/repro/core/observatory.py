@@ -23,8 +23,8 @@ ingests each transmission **once** and fans the result out cheaply:
 * each event touches only the channels it involves, so the per-event
   cost does not grow with the number of idle channels;
 * detectors subscribe via :class:`ObservatorySubscription` — a
-  read-only, ``ChannelObserver``-compatible view plus a private
-  ``ObservedTransmission`` demux of their tagged node.
+  read-only view answering the detector's channel queries plus a
+  private ``ObservedTransmission`` demux of their tagged node.
 
 Equivalence contract: for detectors attached *before* the run starts
 (or on a fresh private channel mid-run, as the mobility hand-off does),
@@ -78,6 +78,7 @@ class _ArmaFeed:
     """
 
     __slots__ = (
+        "key",
         "arma",
         "exchange_slots",
         "cursor",
@@ -89,11 +90,13 @@ class _ArmaFeed:
 
     def __init__(
         self,
+        key: _ArmaKey,
         arma: "ArmaTrafficEstimator",
         exchange_slots: int,
         channel: "MonitorChannel",
         observatory: "SharedChannelObservatory",
     ) -> None:
+        self.key = key
         self.arma = arma
         self.exchange_slots = exchange_slots
         self.cursor = 0
@@ -162,11 +165,12 @@ class MonitorChannel(ChannelViewBase):
 
 
 class ObservatorySubscription:
-    """A detector's read-only, ``ChannelObserver``-compatible view.
+    """A detector's read-only view of one shared channel.
 
-    Queries delegate to the shared :class:`MonitorChannel`; the
-    ``observed`` demux (and the decodable flags captured at transmission
-    start) are private to this (monitor, tagged) subscription.
+    The detector's queries delegate to the shared :class:`MonitorChannel`
+    (``channel``); the ``observed`` demux (and the decodable flags
+    captured at transmission start) are private to this (monitor,
+    tagged) subscription.
     """
 
     __slots__ = (
@@ -196,25 +200,13 @@ class ObservatorySubscription:
         self._decodable_keys: Set[int] = set()
         self._detector: Optional[BackoffMisbehaviorDetector] = None
 
-    # -- ChannelObserver-compatible query surface --------------------------
-
-    def busy_slots_in(self, start: Slots, end: Slots) -> int:
-        return self.channel.busy_slots_in(start, end)
-
-    def busy_intervals_in(self, start: Slots, end: Slots) -> List[Tuple[int, int]]:
-        return self.channel.busy_intervals_in(start, end)
+    # -- the queries the detector makes ------------------------------------
 
     def idle_busy_counts(self, start: Slots, end: Slots) -> Tuple[int, int]:
         return self.channel.idle_busy_counts(start, end)
 
-    def idle_stretches_in(self, start: Slots, end: Slots) -> int:
-        return self.channel.idle_stretches_in(start, end)
-
     def own_tx_slots_in(self, start: Slots, end: Slots) -> int:
         return self.channel.own_tx_slots_in(start, end)
-
-    def traffic_intensity(self, start: Slots, end: Slots) -> float:
-        return self.channel.traffic_intensity(start, end)
 
     @property
     def faults(self) -> "Optional[FaultSchedule]":
@@ -222,27 +214,8 @@ class ObservatorySubscription:
         return self._observatory.faults
 
     @property
-    def monitor_tx_slots(self) -> int:
-        return self.channel.monitor_tx_slots
-
-    @property
     def last_slot(self) -> int:
         return self._observatory.last_slot
-
-    @property
-    def _busy_starts(self) -> List[int]:
-        return self.channel._busy_starts
-
-    @property
-    def _busy_ends(self) -> List[int]:
-        return self.channel._busy_ends
-
-    def retag(self, new_tagged_id: int, drop_history: bool = True) -> None:
-        """Re-point this subscription's demux at another tagged node."""
-        self._observatory._retag_subscription(self, new_tagged_id)
-        if drop_history:
-            self.observed.clear()
-            self._decodable_keys.clear()
 
     def on_positions_updated(
         self, slot: Slots, positions: Dict[int, Position], medium: "Medium"
@@ -477,7 +450,7 @@ class SharedChannelObservatory(SimulationListener):
         feed = channel._arma_by_key.get(key)
         if feed is None:
             feed = _ArmaFeed(
-                detector.arma, detector.timing.exchange_slots, channel, self
+                key, detector.arma, detector.timing.exchange_slots, channel, self
             )
             channel._arma_by_key[key] = feed
             channel.arma_feeds.append(feed)
@@ -498,9 +471,11 @@ class SharedChannelObservatory(SimulationListener):
     def detach(self, detector: BackoffMisbehaviorDetector) -> None:
         """Unsubscribe a detector; its recorded state freezes.
 
-        Drops the demux, feed and position registrations; if the channel
-        has no remaining subscribers it stops updating entirely (like a
-        retired private observer).
+        Drops the demux, feed and position registrations.  A feed, or a
+        terminal estimator, that no remaining detector holds leaves the
+        channel, so evictions cannot grow a live channel's per-event
+        work.  If the channel has no remaining subscribers it stops
+        updating entirely (like a retired private observer).
         """
         subscription = detector.observer
         if not isinstance(subscription, ObservatorySubscription):
@@ -515,13 +490,15 @@ class SharedChannelObservatory(SimulationListener):
             self._position_units.remove(detector)
         if detector in channel.occupancy_detectors:
             channel.occupancy_detectors.remove(detector)
-        for feed in channel.arma_feeds:
-            if detector in feed.detectors:
-                feed.detectors.remove(detector)
+        feed = detector._arma_feed
+        if feed is not None and detector in feed.detectors:
             if channel.subscribers == 1:
-                # The last subscriber is leaving: freeze the feed at the
+                # The last subscriber is leaving: freeze its feed at the
                 # present before the dead channel stops settling.
                 feed.settle()
+            feed.detectors.remove(detector)
+            if not feed.detectors:
+                self._drop_feed(channel, feed)
         channel.subscribers -= 1
         if channel.subscribers <= 0:
             self._channel_list.remove(channel)
@@ -533,15 +510,19 @@ class SharedChannelObservatory(SimulationListener):
             if self._channels.get(channel.monitor_id) is channel:
                 del self._channels[channel.monitor_id]
 
-    def _retag_subscription(
-        self, subscription: ObservatorySubscription, new_tagged_id: int
-    ) -> None:
-        """Move a subscription's demux registration to a new tagged node."""
-        subs = self._subs_by_tagged.get(subscription.tagged_id, [])
-        if subscription in subs:
-            subs.remove(subscription)
-        subscription.tagged_id = new_tagged_id
-        self._subs_by_tagged.setdefault(new_tagged_id, []).append(subscription)
+    def _drop_feed(self, channel: MonitorChannel, feed: _ArmaFeed) -> None:
+        """Remove a feed no detector holds.
+
+        Its attach epoch's terminal estimator goes too once no feed of
+        that epoch is left on the channel.
+        """
+        del channel._arma_by_key[feed.key]
+        channel.arma_feeds.remove(feed)
+        if feed in self._unborn:
+            self._unborn.remove(feed)
+        epoch = feed.key[0]
+        if all(key[0] != epoch for key in channel._arma_by_key):
+            channel.terminal_feeds.remove(channel._terminal_by_epoch.pop(epoch))
 
     def add_position_listener(self, unit: SimulationListener) -> None:
         """Forward mobility epochs to ``unit`` (e.g. a MonitorHandoff)."""

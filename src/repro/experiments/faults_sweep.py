@@ -28,10 +28,10 @@ from repro.experiments.parallel import run_trials
 from repro.experiments.reporting import format_series
 from repro.experiments.runner import (
     collect_detection_samples,
-    scaled,
     windowed_detection_rate,
 )
 from repro.experiments.scenarios import GridScenario
+from repro.util.fidelity import scaled
 from repro.util.units import Seconds
 
 #: Monitor-side decode-failure probabilities swept by default.

@@ -21,9 +21,10 @@ from repro.core.observation import ChannelObserver, joint_state_counts
 from repro.core.sysstate import SystemStateEstimator
 from repro.experiments.parallel import run_trials
 from repro.experiments.reporting import format_table
-from repro.experiments.runner import scaled, split_seeds
+from repro.experiments.runner import split_seeds
 from repro.experiments.scenarios import GridScenario, RandomScenario
 from repro.geometry.regions import RegionModel
+from repro.util.fidelity import scaled
 from repro.util.units import Meters, Slots
 
 ScenarioFactory = Callable[[float, int], Any]
@@ -99,22 +100,6 @@ def _aggregate_point(
         sim_p_idle_given_busy=sums["sib"] / used,
         ana_p_idle_given_busy=probs.p_idle_given_busy,
     )
-
-
-def measure_point(
-    scenario_factory: ScenarioFactory,
-    load: float,
-    seeds: Sequence[int],
-    observe_slots: Slots = 50_000,
-    n: int = 5,
-    k: int = 5,
-    separation: Meters = 240.0,
-    jobs: Optional[int] = None,
-) -> ProbabilityPoint:
-    """Average the measured and analytical probabilities over seeds."""
-    tasks = [(scenario_factory, load, seed, observe_slots) for seed in seeds]
-    samples = run_trials(_measure_seed, tasks, jobs=jobs)
-    return _aggregate_point(load, samples, n=n, k=k, separation=separation)
 
 
 def run_probability_sweep(

@@ -17,12 +17,9 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.experiments.parallel import run_trials
 from repro.experiments.reporting import format_series
-from repro.experiments.runner import (
-    detection_trial,
-    scaled,
-    windowed_detection_rate,
-)
+from repro.experiments.runner import detection_trial, windowed_detection_rate
 from repro.experiments.scenarios import GridScenario, RandomScenario
+from repro.util.fidelity import scaled
 from repro.util.units import Seconds
 
 ScenarioFactory = Callable[[float, int], Any]

@@ -20,11 +20,8 @@ from repro.experiments.fig5 import (
 )
 from repro.experiments.parallel import run_trials
 from repro.experiments.reporting import format_series
-from repro.experiments.runner import (
-    detection_trial,
-    scaled,
-    windowed_detection_rate,
-)
+from repro.experiments.runner import detection_trial, windowed_detection_rate
+from repro.util.fidelity import scaled
 from repro.util.units import Seconds
 
 DEFAULT_LOADS = (0.3, 0.6, 0.9)

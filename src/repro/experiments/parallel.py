@@ -30,21 +30,14 @@ to the serial loop, which is always correct, just slower.
 Worker-count resolution lives in :mod:`repro.util.pool` (first match
 wins): the ``jobs=`` argument, :func:`set_default_jobs` (the CLI's
 ``--jobs`` flag), the ``REPRO_JOBS`` environment variable, else 1
-(serial).  A value of 0 means "all CPU cores".  ``JOBS_ENV``,
-``resolve_jobs`` and ``set_default_jobs`` are re-exported here for
-compatibility with pre-split callers.
+(serial).  A value of 0 means "all CPU cores".
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, List, Optional, Sequence
 
-from repro.util.pool import (  # noqa: F401  (re-exported)
-    JOBS_ENV,
-    fork_map,
-    resolve_jobs,
-    set_default_jobs,
-)
+from repro.util.pool import fork_map
 
 #: The trial function of the in-flight sweep, inherited by forked
 #: workers (set immediately before the pool dispatch, cleared after).

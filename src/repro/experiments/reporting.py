@@ -7,7 +7,7 @@ their output verbatim).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 
 def format_table(title: str, headers: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
@@ -44,21 +44,6 @@ def format_series(
     for i, x in enumerate(x_values):
         rows.append([x] + [series[label][i] for label in series])
     return format_table(title, headers, rows)
-
-
-def table_records(headers: Sequence[str], rows: Sequence[Sequence[Any]]) -> List[Dict[str, Any]]:
-    """The same rows as a list of dicts (for run-manifest ``results``).
-
-    Each row becomes ``{header: cell}`` with the raw (unformatted)
-    values, so manifests carry full precision while the printed table
-    stays rounded.
-    """
-    records = []
-    for row in rows:
-        if len(row) != len(headers):
-            raise ValueError(f"row has {len(row)} cells, expected {len(headers)}")
-        records.append(dict(zip(headers, row)))
-    return records
 
 
 def _fmt(value: Any) -> str:

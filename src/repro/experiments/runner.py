@@ -8,7 +8,7 @@ paper's, e.g. ``REPRO_SCALE=10 pytest benchmarks/``.
 
 The fidelity helpers themselves live in :mod:`repro.util.fidelity`
 (``obs`` needs them too and sits below ``experiments`` in the layering
-DAG); they are re-exported here for compatibility.
+DAG).
 """
 
 from __future__ import annotations
@@ -17,11 +17,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.detector import BackoffMisbehaviorDetector, DetectorConfig
 from repro.core.ranksum import rank_sum_test
-from repro.util.fidelity import (  # noqa: F401  (re-exported)
-    fidelity_scale,
-    reset_fidelity_cache,
-    scaled,
-)
 from repro.util.units import Seconds
 
 

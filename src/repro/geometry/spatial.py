@@ -146,20 +146,6 @@ class SpatialGrid:
 
     # -- queries -----------------------------------------------------------
 
-    def neighborhood(self, position: Point) -> Iterator[int]:
-        """All node ids in the 3×3 cell block around ``position``.
-
-        A superset of every node within ``cell_size`` of ``position``
-        (see the module docstring); the caller applies the exact
-        range predicate.  Includes the querying node itself if indexed.
-        """
-        cx, cy = self.key(position)
-        cells = self._cells
-        for dx, dy in _NEIGHBOR_OFFSETS:
-            bucket = cells.get((cx + dx, cy + dy))
-            if bucket is not None:
-                yield from bucket
-
     def candidates_of(self, node_id: int) -> Iterator[int]:
         """Neighborhood of an indexed node, excluding the node itself."""
         cell = self._cell_of.get(node_id)

@@ -13,6 +13,12 @@ They exist to probe the detector's blind spots (DESIGN.md §12):
 * :class:`AttemptReplay` — replay the previous Attempt# for the same
   digest on a retransmission.  Caught deterministically: a repeated
   digest must arrive with a strictly larger attempt number.
+* :class:`AttemptAlwaysOne` — announce attempt 1 on every RTS.  A
+  retransmission then repeats its digest without a larger attempt
+  number, which the Attempt#/MD verifier catches deterministically.
+* :class:`StaleSequenceOffset` — announce the previous SeqOff# instead
+  of the current one.  The repeated offset is caught by the SeqOff#
+  monotonicity check.
 * :class:`SequenceOffsetLie` — abandon the real PRS position and
   announce a self-consistent fabricated counter (advancing by exactly
   one per RTS).  No deterministic rule can object — the lie is
@@ -110,6 +116,20 @@ class AttemptReplay(AnnouncementPolicy):
             return replace(frame, attempt=last[1])
         self._last = (frame.digest, min(frame.attempt, MAX_ATTEMPT_FIELD))
         return frame
+
+
+class AttemptAlwaysOne(AnnouncementPolicy):
+    """Announce attempt 1 regardless of the real attempt number."""
+
+    def rewrite(self, frame: RtsFrame) -> RtsFrame:
+        return replace(frame, attempt=1)
+
+
+class StaleSequenceOffset(AnnouncementPolicy):
+    """Announce the previous SeqOff# (floored at 0) instead of the current."""
+
+    def rewrite(self, frame: RtsFrame) -> RtsFrame:
+        return replace(frame, seq_off=max(frame.seq_off - 1, 0))
 
 
 class SequenceOffsetLie(AnnouncementPolicy):

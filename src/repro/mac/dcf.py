@@ -6,11 +6,11 @@ engine drives it: the entity decides *what* to do (draw a back-off,
 build an RTS, retry or drop), the engine decides *when* (channel state,
 event ordering).
 
-Announcement-cheating knobs (``announce_attempt_always_one``,
-``announce_stale_offset``) let experiments exercise the paper's
-*deterministic* detectors: a node that lies about its attempt number is
-exposed by the repeated MD5 digest, and one that reuses a sequence
-offset is exposed by the offset-monotonicity check.
+The ``announcement`` hook (an :class:`~repro.mac.adversary.
+AnnouncementPolicy`) rewrites each built RTS, which lets experiments
+exercise the paper's *deterministic* detectors: a node that lies about
+its attempt number is exposed by the repeated MD5 digest, and one that
+reuses a sequence offset is exposed by the offset-monotonicity check.
 """
 
 from __future__ import annotations
@@ -72,8 +72,6 @@ class DcfMac:
         timing: Optional[MacTiming] = None,
         policy: Optional[BackoffPolicy] = None,
         queue_capacity: int = 50,
-        announce_attempt_always_one: bool = False,
-        announce_stale_offset: bool = False,
         announcement: "Optional[AnnouncementPolicy]" = None,
     ) -> None:
         self.node_id = node_id
@@ -85,10 +83,8 @@ class DcfMac:
         self.queue = DropTailQueue(queue_capacity)
         self.backoff = BackoffScheduler()
         self.stats = MacStats()
-        self.announce_attempt_always_one = announce_attempt_always_one
-        self.announce_stale_offset = announce_stale_offset
         #: optional announcement rewrite (repro.mac.adversary); applied
-        #: to every built RTS after the legacy announce knobs.
+        #: to every built RTS.
         self.announcement = announcement
 
         self._next_offset = 0       # next unconsumed PRS offset
@@ -123,10 +119,6 @@ class DcfMac:
     @property
     def attempt(self) -> int:
         return self._attempt
-
-    @property
-    def next_offset(self) -> int:
-        return self._next_offset
 
     @property
     def current_draw(self) -> Optional["_CurrentAttempt"]:
@@ -174,21 +166,11 @@ class DcfMac:
         packet = self.head_packet
         if packet is None:
             raise RuntimeError("build_rts() with empty queue")
-        announced_attempt = (
-            1 if self.announce_attempt_always_one else min(
-                self._current.attempt, MAX_ATTEMPT_FIELD
-            )
-        )
-        announced_offset = (
-            max(self._current.offset - 1, 0)
-            if self.announce_stale_offset
-            else self._current.offset
-        )
         frame = RtsFrame(
             sender=self.node_id,
             receiver=packet.destination,
-            seq_off=announced_offset,
-            attempt=announced_attempt,
+            seq_off=self._current.offset,
+            attempt=min(self._current.attempt, MAX_ATTEMPT_FIELD),
             digest=data_digest(packet.payload),
         )
         if self.announcement is not None:

@@ -32,15 +32,14 @@ stream also depends on query order, so only the eager all-pairs scan
 reproduces its committed fingerprints.
 
 Carrier-sense state is *incremental*: every ``start_transmission`` /
-``end_transmission`` / ``extend_transmission`` updates, for each node
-that senses the transmitter, (a) an insertion-ordered map of the
-transmissions it currently senses and (b) a lazy max-heap of their end
-slots.  The per-slot queries the engine hammers — :meth:`senses_busy`,
-:meth:`is_transmitting`, :meth:`interferers_at` — are therefore O(1) or
-O(sensed transmissions) instead of O(all active transmissions), and
-:meth:`busy_until` is amortized O(log n).  Transition cost is
-O(sensors of the transmitter), which is the same set the engine must
-reconcile anyway.
+``end_transmission`` updates, for each node that senses the
+transmitter, an insertion-ordered map of the transmissions it currently
+senses.  The per-slot queries the engine
+hammers — :meth:`senses_busy`, :meth:`is_transmitting`,
+:meth:`interferers_at` — are therefore O(1) or O(sensed transmissions)
+instead of O(all active transmissions).  Transition cost is O(sensors of
+the transmitter), which is the same set the engine must reconcile
+anyway.
 
 Invariants the incremental state maintains (see
 ``tests/test_medium_equivalence.py`` for the brute-force cross-check):
@@ -48,20 +47,12 @@ Invariants the incremental state maintains (see
 * ``_sensed_active[listener]`` holds exactly the ``tx_id -> sender``
   pairs of active transmissions whose sender is in
   ``_sensed_by[sender]``'s listener set, in start order;
-* ``_busy_heaps[listener]`` contains one entry per (transmission,
-  end-slot version); ends only ever grow (``extend_transmission``), so
-  the heap top with a matching live end slot is the true maximum and
-  stale entries are discarded lazily — and whenever the stale fraction
-  exceeds the live entry count (plus slack), the heap is compacted by
-  rebuilding it from the live tracked set, keeping heap size O(active)
-  even on long runs where a listener's sensed set never empties;
-* both structures are rebuilt from scratch on ``update_positions``
-  (mobility epochs), because reachability itself changed.
+* it is rebuilt from scratch on ``update_positions`` (mobility epochs),
+  because reachability itself changed.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import (
@@ -80,11 +71,6 @@ from repro.geometry.spatial import SpatialGrid, cell_size_for_radius
 from repro.phy.channel import Channel, Point
 from repro.util.units import Slots
 
-#: Stale-entry slack before a busy-until heap is compacted: a heap may
-#: hold up to ``2 * live + _HEAP_COMPACT_SLACK`` entries before it is
-#: rebuilt from the live tracked set.
-_HEAP_COMPACT_SLACK = 16
-
 _EMPTY_SET: FrozenSet[int] = frozenset()
 
 
@@ -99,8 +85,8 @@ class Transmission:
 
     ``end_slot`` and ``kind`` must not be reassigned while the
     transmission is registered on a :class:`Medium` — go through
-    :meth:`Medium.extend_transmission`, which keeps the incremental
-    carrier-sense indexes in step.
+    :meth:`Medium.extend_transmission`, which refuses to shrink the
+    period and keeps the handshake index in step.
     """
 
     sender: int
@@ -109,7 +95,6 @@ class Transmission:
     end_slot: Slots
     kind: str = "data"
     frame: object = None
-    packet: object = None
     corrupted: bool = field(default=False, compare=False)
 
     @property
@@ -167,11 +152,8 @@ class Medium:
         #: listener -> {tx_id: sender} for transmissions it senses,
         #: in start order (mirrors iterating ``_active`` filtered).
         self._sensed_active: Dict[int, Dict[int, int]] = {}
-        #: listener -> max-heap [(-end_slot, tx_id), ...], lazily pruned
-        self._busy_heaps: Dict[int, List[Tuple[int, int]]] = {}
         # -- frozenset caches for the reachability accessors ----------------
         self._neighbors_cache: Dict[int, FrozenSet[int]] = {}
-        self._sensed_sources_cache: Dict[int, FrozenSet[int]] = {}
         self._sensors_cache: Dict[int, FrozenSet[int]] = {}
 
     # -- topology ----------------------------------------------------------
@@ -196,7 +178,6 @@ class Medium:
         else:
             self._rebuild_all_pairs()
         self._neighbors_cache.clear()
-        self._sensed_sources_cache.clear()
         self._sensors_cache.clear()
         self._rebuild_sensing_index()
         # Lazy import: repro.obs is cross-cutting; active_tracer() is
@@ -301,7 +282,6 @@ class Medium:
         self._tx_count = {}
         self._handshakes = {}
         self._sensed_active = {}
-        self._busy_heaps = {}
         # ``_active`` preserves start order (tx ids are handed out
         # monotonically and dict insertion order survives deletions), so
         # the per-listener maps come out in the same order a full scan
@@ -320,15 +300,6 @@ class Medium:
         if cached is None:
             cached = self._neighbors_cache[node_id] = frozenset(
                 self._decodes_from_set(node_id)
-            )
-        return cached
-
-    def sensed_sources(self, node_id: int) -> FrozenSet[int]:
-        """Nodes whose transmissions ``node_id`` senses as busy air."""
-        cached = self._sensed_sources_cache.get(node_id)
-        if cached is None:
-            cached = self._sensed_sources_cache[node_id] = frozenset(
-                self._sensed_from_set(node_id)
             )
         return cached
 
@@ -370,28 +341,15 @@ class Medium:
         self._tx_count[sender] = self._tx_count.get(sender, 0) + 1
         if tx.kind == "handshake":
             self._handshakes[tx_id] = tx
-        entry = (-tx.end_slot, tx_id)
         sensed_active = self._sensed_active
-        busy_heaps = self._busy_heaps
         for listener in self._sensed_by_set(sender):
             tracked = sensed_active.get(listener)
             if tracked is None:
                 tracked = sensed_active[listener] = {}
             tracked[tx_id] = sender
-            heap = busy_heaps.get(listener)
-            if heap is None:
-                heap = busy_heaps[listener] = []
-            heapq.heappush(heap, entry)
 
     def _unindex_transmission(self, tx_id: int, tx: Transmission) -> None:
-        """Drop one transmission from the incremental indexes.
-
-        Heap entries are left behind and pruned lazily by
-        :meth:`busy_until`; when a listener's sensed set empties, its
-        heap is cleared outright (every entry is stale by definition),
-        and otherwise the heap is compacted once stale entries outgrow
-        the live ones (see :meth:`_maybe_compact_heap`).
-        """
+        """Drop one transmission from the incremental indexes."""
         sender = tx.sender
         count = self._tx_count[sender] - 1
         if count:
@@ -401,33 +359,8 @@ class Medium:
         self._handshakes.pop(tx_id, None)
         for listener in self._sensed_by_set(sender):
             tracked = self._sensed_active.get(listener)
-            if tracked is None:
-                continue
-            tracked.pop(tx_id, None)
-            if not tracked:
-                heap = self._busy_heaps.get(listener)
-                if heap:
-                    heap.clear()
-            else:
-                self._maybe_compact_heap(listener, tracked)
-
-    def _maybe_compact_heap(self, listener: int, tracked: Dict[int, int]) -> None:
-        """Rebuild a busy-until heap once stale entries dominate.
-
-        A heap legitimately holds up to two entries per live
-        transmission (the original end plus one extension); beyond
-        ``2 * live + slack`` everything extra is garbage from ended
-        transmissions, so rebuild from the live tracked set.  This
-        bounds heap size at O(active sensed transmissions) even on
-        long runs where ``tracked`` never empties (the lazy-deletion
-        path alone only clears a heap at that point).
-        """
-        heap = self._busy_heaps.get(listener)
-        if heap is None or len(heap) <= 2 * len(tracked) + _HEAP_COMPACT_SLACK:
-            return
-        active = self._active
-        heap[:] = [(-active[t].end_slot, t) for t in tracked]
-        heapq.heapify(heap)
+            if tracked is not None:
+                tracked.pop(tx_id, None)
 
     def start_transmission(self, transmission: Transmission) -> int:
         """Register a transmission; returns its medium-assigned id."""
@@ -452,9 +385,9 @@ class Medium:
 
         The engine uses this for the handshake -> exchange phase change:
         the busy period extends through DATA + ACK and the ``kind``
-        flips to ``"exchange"``.  Returns the transmission.  Mutating
-        ``Transmission.end_slot`` directly would leave the incremental
-        busy-until heaps stale — this is the only supported way.
+        flips to ``"exchange"``.  Returns the transmission.  Mutating the
+        ``Transmission`` directly would skip the never-shrink check and
+        leave the handshake index stale — this is the only supported way.
         """
         tx = self._active[tx_id]
         if end_slot < tx.end_slot:
@@ -462,7 +395,6 @@ class Medium:
                 f"cannot shrink transmission {tx_id} "
                 f"({tx.end_slot} -> {end_slot})"
             )
-        grew = end_slot > tx.end_slot
         tx.end_slot = end_slot
         if kind is not None and kind != tx.kind:
             tx.kind = kind
@@ -470,15 +402,6 @@ class Medium:
                 self._handshakes[tx_id] = tx
             else:
                 self._handshakes.pop(tx_id, None)
-        if grew:
-            entry = (-end_slot, tx_id)
-            for listener in self._sensed_by_set(tx.sender):
-                heap = self._busy_heaps.get(listener)
-                if heap is not None:
-                    heapq.heappush(heap, entry)
-                    tracked = self._sensed_active.get(listener)
-                    if tracked:
-                        self._maybe_compact_heap(listener, tracked)
         return tx
 
     def active_transmissions(self) -> Iterable[Transmission]:
@@ -514,24 +437,6 @@ class Medium:
         case.)
         """
         return bool(self._sensed_active.get(node_id))
-
-    def busy_until(self, node_id: int) -> Optional[Slots]:
-        """Last end slot among transmissions ``node_id`` senses, or None."""
-        if not self._sensed_active.get(node_id):
-            return None
-        heap = self._busy_heaps[node_id]
-        active = self._active
-        while heap:
-            neg_end, tx_id = heap[0]
-            tx = active.get(tx_id)
-            if tx is not None and tx.end_slot == -neg_end:
-                return -neg_end
-            # Stale: the transmission ended, or this entry was
-            # superseded by an extension (the larger end sorts first in
-            # the max-heap, so a live superseding entry was already
-            # inspected).
-            heapq.heappop(heap)
-        return None
 
     def interferers_at(self, receiver: int, exclude_sender: int) -> List[int]:
         """Active transmitters (other than ``exclude_sender``) that the

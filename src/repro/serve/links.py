@@ -104,10 +104,6 @@ class ObservationLedger:
     def append(self, observation: BackoffObservation) -> None:
         self._items.append(observation)
 
-    @property
-    def retained(self) -> int:
-        return len(self._items)
-
     def trim(self) -> int:
         """Drop all but the newest ``retention`` entries; returns drops."""
         excess = len(self._items) - self.retention

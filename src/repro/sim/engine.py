@@ -277,7 +277,7 @@ class SimulationEngine:
         tx = self.medium.active_item(tx_id)
         if tx.kind == "handshake" and not tx.corrupted:
             # CTS received: extend the busy period through DATA + ACK
-            # (via the medium so its busy-until index stays current).
+            # (via the medium so its handshake index stays current).
             self.medium.extend_transmission(
                 tx_id, tx.start_slot + self._exchange_slots, kind="exchange"
             )
@@ -333,7 +333,6 @@ class SimulationEngine:
             end_slot=slot + self._handshake_slots,
             kind="handshake",
             frame=rts,
-            packet=mac.head_packet,
             corrupted=corrupted,
         )
         tx_id = self.medium.start_transmission(tx)

@@ -38,7 +38,6 @@ class Packet:
     destination: int
     size_bytes: int = 512
     created_slot: int = 0
-    final_destination: int = None
     uid: int = field(default_factory=lambda: next(_packet_ids))
 
     def __post_init__(self):

@@ -89,16 +89,6 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     return max(jobs, 1)
 
 
-def pool_active() -> bool:
-    """True inside a ``fork_map`` worker (or while a pool is being set up).
-
-    Callers can use this to skip work that is redundant in a forked
-    child, but ``fork_map`` itself already degrades to serial when
-    nested, so most code never needs to check.
-    """
-    return _WORK_FN is not None
-
-
 def _invoke(item: Any) -> Any:
     """Worker-side trampoline: run the fork-inherited function."""
     fn = _WORK_FN

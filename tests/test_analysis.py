@@ -1,11 +1,10 @@
-"""Tests for the offline analysis helpers (latency, ROC, summary)."""
+"""Tests for the offline analysis helpers (latency, summary)."""
 
 import math
 
 import pytest
 
 from repro.analysis.latency import DetectionLatency, detection_latency
-from repro.analysis.roc import roc_sweep
 from repro.analysis.summary import summarize_estimation
 from repro.core.records import BackoffObservation, Diagnosis, Verdict
 
@@ -106,38 +105,3 @@ class TestSummarizeEstimation:
         det = _FakeDetector(observations=[_obs(0, 32, 16)])
         summary = summarize_estimation(det)
         assert summary.mean_normalized_error == pytest.approx(-0.5)
-
-
-class TestRocSweep:
-    def _detector(self, shift, n=60, seed=0):
-        import numpy as np
-
-        rng = np.random.default_rng(seed)
-        observations = []
-        for i in range(n):
-            dictated = int(rng.integers(0, 32))
-            estimated = max(dictated * shift + rng.normal(0, 2), 0.0)
-            observations.append(_obs(i * 100, dictated, estimated))
-        return _FakeDetector(observations=observations)
-
-    def test_roc_monotone_in_alpha(self):
-        honest = self._detector(1.0, seed=1)
-        cheat = self._detector(0.4, seed=2)
-        points = roc_sweep(honest, cheat, sample_size=20)
-        fars = [p.false_alarm_rate for p in points]
-        dets = [p.detection_rate for p in points]
-        assert fars == sorted(fars)
-        assert dets == sorted(dets)
-
-    def test_cheater_dominates_honest(self):
-        honest = self._detector(1.0, seed=3)
-        cheat = self._detector(0.4, seed=4)
-        points = roc_sweep(honest, cheat, sample_size=20)
-        for p in points:
-            assert p.detection_rate >= p.false_alarm_rate
-
-    def test_requires_full_windows(self):
-        honest = self._detector(1.0, n=5)
-        cheat = self._detector(0.5, n=5)
-        with pytest.raises(ValueError):
-            roc_sweep(honest, cheat, sample_size=20)

@@ -39,7 +39,7 @@ def test_register_returns_the_hook_and_deduplicates():
 def test_known_caches_are_registered():
     # Import the defining modules so their decorators have run.
     from repro.core.detector import reset_region_cache
-    from repro.experiments.runner import reset_fidelity_cache
+    from repro.util.fidelity import reset_fidelity_cache
     from repro.faults.runtime import reset_fault_runtime
     from repro.traffic.queue import reset_packet_ids
 
@@ -54,7 +54,7 @@ def test_known_caches_are_registered():
 
 
 def test_reset_rewinds_the_fidelity_cache(monkeypatch):
-    from repro.experiments.runner import fidelity_scale
+    from repro.util.fidelity import fidelity_scale
 
     monkeypatch.setenv("REPRO_SCALE", "2.5")
     assert fidelity_scale() == 2.5

@@ -17,7 +17,13 @@ from pathlib import Path
 import pytest
 
 from repro.checks import lint_paths, lint_source
-from repro.checks.lint import RULES, WALL_CLOCK_ALLOWLIST, iter_python_files
+from repro.checks.layering import LAYER_RANKS
+from repro.checks.lint import (
+    _ANNOTATION_SCOPES,
+    RULES,
+    WALL_CLOCK_ALLOWLIST,
+    iter_python_files,
+)
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -295,10 +301,23 @@ def test_annotation_rule_scoped_to_simulation_packages():
     src = "def helper(x):\n    return x\n"
     assert "RPR301" in codes(src, path="repro/mac/helper.py")
     assert "RPR301" in codes(src, path="repro/sim/helper.py")
-    assert "RPR301" in codes(src, path="repro/routing/helper.py")
+    assert "RPR301" in codes(src, path="repro/serve/helper.py")
     assert "RPR301" in codes(src, path="repro/experiments/helper.py")
     assert codes(src, path="repro/analysis/helper.py") == []
     assert codes(src, path="repro/cli.py") == []
+
+
+def test_package_tables_match_the_source_tree():
+    """Every LAYER_RANKS key and RPR301 scope names a real package (or,
+    for ``repro.cli``, module), and every package has a layer rank, so
+    adding or deleting a package cannot leave either table stale."""
+    root = Path(SRC) / "repro"
+    packages = {path.parent.name for path in root.glob("*/__init__.py")}
+    modules = {path.stem for path in root.glob("*.py")} - {"__init__"}
+    ranked = {name.split(".", 1)[1] for name in LAYER_RANKS}
+    assert ranked <= packages | modules
+    assert packages <= ranked
+    assert set(_ANNOTATION_SCOPES) <= packages
 
 
 # -- machinery ---------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.mac.adversary import AttemptAlwaysOne, StaleSequenceOffset
 from repro.mac.dcf import DcfMac, MacState
 from repro.mac.digest import data_digest
 from repro.mac.misbehavior import PercentageMisbehavior
@@ -142,7 +143,7 @@ class TestRtsConstruction:
             mac.build_rts()
 
     def test_attempt_liar_always_announces_one(self):
-        mac = DcfMac(1, announce_attempt_always_one=True)
+        mac = DcfMac(1, announcement=AttemptAlwaysOne())
         mac.enqueue(_packet())
         mac.draw_backoff()
         mac.begin_transmission()
@@ -151,7 +152,7 @@ class TestRtsConstruction:
         assert mac.build_rts().attempt == 1
 
     def test_offset_liar_reuses_offset(self):
-        mac = DcfMac(1, announce_stale_offset=True)
+        mac = DcfMac(1, announcement=StaleSequenceOffset())
         mac.enqueue(_packet())
         mac.enqueue(_packet())
         mac.draw_backoff()

@@ -10,6 +10,7 @@ import pytest
 
 from repro.core.detector import BackoffMisbehaviorDetector, DetectorConfig
 from repro.core.records import Diagnosis
+from repro.mac.adversary import AttemptAlwaysOne, StaleSequenceOffset
 from repro.mac.misbehavior import (
     AlienDistributionBackoff,
     FixedBackoff,
@@ -126,7 +127,7 @@ class TestOtherAttacks:
 
     def test_attempt_liar_caught_deterministically(self):
         detector = _run_detection(
-            mac_options={"announce_attempt_always_one": True},
+            mac_options={"announcement": AttemptAlwaysOne()},
             duration_s=10.0,
         )
         kinds = {v.kind for v in detector.violations}
@@ -134,7 +135,7 @@ class TestOtherAttacks:
 
     def test_offset_liar_caught_deterministically(self):
         detector = _run_detection(
-            mac_options={"announce_stale_offset": True},
+            mac_options={"announcement": StaleSequenceOffset()},
             duration_s=10.0,
         )
         kinds = {v.kind for v in detector.violations}
@@ -151,11 +152,6 @@ class TestDetectorConfigBehavior:
         )
         assert detector.terminal_estimator.samples > 0
         assert detector.flagged_malicious
-
-    def test_reset_window(self):
-        detector = _run_detection(pm=0, duration_s=4.0)
-        detector.reset_window()
-        assert detector.test.n_samples == 0
 
     def test_verdict_records_p_value(self):
         detector = _run_detection(pm=60, duration_s=8.0)

@@ -51,22 +51,6 @@ class TestConfigVariants:
         assert detector.state_estimator.region_model is model
         assert detector.flagged_malicious
 
-    def test_test_stride_reduces_evaluations(self):
-        frequent = _run(
-            DetectorConfig(sample_size=25, known_n=5, known_k=5, test_stride=1),
-            pm=0,
-            duration_s=6.0,
-        )
-        sparse = _run(
-            DetectorConfig(sample_size=25, known_n=5, known_k=5, test_stride=25),
-            pm=0,
-            duration_s=6.0,
-        )
-        stat_frequent = [v for v in frequent.verdicts if not v.deterministic]
-        stat_sparse = [v for v in sparse.verdicts if not v.deterministic]
-        if stat_frequent and stat_sparse:
-            assert len(stat_sparse) < len(stat_frequent)
-
     def test_zero_warmup_admits_early_samples(self):
         with_warmup = _run(
             DetectorConfig(sample_size=25, known_n=5, known_k=5),

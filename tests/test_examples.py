@@ -14,12 +14,11 @@ import pytest
 
 EXAMPLES_DIR = pathlib.Path(__file__).resolve().parent.parent / "examples"
 
-FAST_EXAMPLES = ["quickstart.py", "multihop_aodv.py"]
+FAST_EXAMPLES = ["quickstart.py"]
 SLOW_EXAMPLES = [
     "grid_detection.py",
     "mobile_network.py",
     "misbehavior_strategies.py",
-    "reputation_quarantine.py",
 ]
 
 

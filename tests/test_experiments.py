@@ -15,8 +15,6 @@ from repro.experiments.fig6 import run_misdiagnosis_curve
 from repro.experiments.reporting import format_series, format_table
 from repro.experiments.runner import (
     collect_detection_samples,
-    fidelity_scale,
-    scaled,
     split_seeds,
     windowed_detection_rate,
 )
@@ -25,6 +23,7 @@ from repro.experiments.scenarios import (
     RandomScenario,
     build_grid_simulation,
 )
+from repro.util.fidelity import fidelity_scale, scaled
 
 
 class TestTable1:
@@ -84,7 +83,7 @@ class TestRunnerHelpers:
         assert scaled(3) >= 1
 
     def test_fidelity_cache_tracks_env_changes(self, monkeypatch):
-        from repro.experiments.runner import reset_fidelity_cache
+        from repro.util.fidelity import reset_fidelity_cache
 
         monkeypatch.setenv("REPRO_SCALE", "2.0")
         assert fidelity_scale() == 2.0

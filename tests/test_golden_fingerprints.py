@@ -29,7 +29,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.detector import DetectorConfig, reset_region_cache
-from repro.experiments.runner import collect_detection_samples, reset_fidelity_cache
+from repro.experiments.runner import collect_detection_samples
 from repro.experiments.scenarios import (
     GridScenario,
     MultiMonitorGridScenario,
@@ -39,6 +39,7 @@ from repro.mac.misbehavior import PercentageMisbehavior
 from repro.obs.audit import DecisionAuditLog
 from repro.obs.runtime import disable_metrics, enable_metrics, reset_metrics
 from repro.traffic import queue as traffic_queue
+from repro.util.fidelity import reset_fidelity_cache
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 

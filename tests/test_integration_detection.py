@@ -1,8 +1,8 @@
 """Cross-module integration tests: detection under harder conditions.
 
 These exercise combinations the unit tests don't: shadowing channels,
-multiple simultaneous monitors, multi-hop background traffic, and the
-extension attack strategies running through the full simulator.
+multiple simultaneous monitors, and the extension attack strategies
+running through the full simulator.
 """
 
 import pytest
@@ -12,10 +12,8 @@ from repro.mac.misbehavior import (
     IntermittentMisbehavior,
     PercentageMisbehavior,
 )
-from repro.routing.relay import MultiHopService
 from repro.sim.network import Flow, Simulation, SimulationConfig
 from repro.topology.placement import center_pair_indices, grid_positions
-from repro.traffic.queue import Packet
 from repro.util.rng import RngStream
 
 
@@ -135,39 +133,3 @@ class TestIntermittentAttack:
         sim.run(20.0)
         assert policy.cheated_draws > 0
         assert det.flagged_malicious
-
-
-class TestDetectionWithRelayTraffic:
-    def test_background_multihop_does_not_break_detection(self):
-        """Multi-hop relays add realistic forwarded contention around the
-        monitored pair; detection still works."""
-        positions = grid_positions()
-        sender, monitor = center_pair_indices()
-        flows = [
-            Flow(source=i, load=0.4)
-            for i in range(0, len(positions), 3)
-            if i not in (monitor, sender)
-        ]
-        sim = Simulation(
-            positions,
-            flows=[Flow(source=sender, destination=monitor, load=0.6)] + flows,
-            policies={sender: PercentageMisbehavior(70)},
-            config=SimulationConfig(seed=17),
-        )
-        relay = MultiHopService(sim.macs, link_provider=sim.medium)
-        sim.add_listener(relay)
-        # Inject a few cross-grid multi-hop packets.
-        far_src, far_dst = 0, len(positions) - 1
-        hop = relay.first_hop(far_src, far_dst)
-        for _ in range(5):
-            sim.macs[far_src].enqueue(
-                Packet(source=far_src, destination=hop, final_destination=far_dst)
-            )
-        det = BackoffMisbehaviorDetector(
-            monitor, sender,
-            config=DetectorConfig(sample_size=25, known_n=5, known_k=5),
-        )
-        sim.add_listener(det)
-        sim.run(15.0)
-        assert det.flagged_malicious
-        assert relay.forwarded > 0

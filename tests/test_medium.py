@@ -23,9 +23,6 @@ class TestReachability:
         assert medium.neighbors(0) == {1}
         assert medium.neighbors(1) == {0, 2}
 
-    def test_sensed_sources(self, medium):
-        assert medium.sensed_sources(0) == {1, 2}
-
     def test_sensors_of_symmetric_model(self, medium):
         assert medium.sensors_of(0) == {1, 2}
         assert medium.sensors_of(1) == {0, 2}
@@ -72,19 +69,6 @@ class TestTransmissions:
         )
         assert not medium.senses_busy(0)
 
-    def test_busy_until(self, medium):
-        medium.start_transmission(
-            Transmission(sender=0, receiver=1, start_slot=0, end_slot=10)
-        )
-        medium.start_transmission(
-            Transmission(sender=2, receiver=1, start_slot=0, end_slot=25)
-        )
-        assert medium.busy_until(1) == 25
-        assert medium.busy_until(0) == 25  # node 0 senses node 2
-
-    def test_busy_until_none_when_idle(self, medium):
-        assert medium.busy_until(0) is None
-
     def test_interferers_at(self, medium):
         medium.start_transmission(
             Transmission(sender=0, receiver=1, start_slot=0, end_slot=10)
@@ -116,7 +100,6 @@ class TestTransmissions:
         tx_id = medium.start_transmission(tx)
         medium.extend_transmission(tx_id, 30)
         assert tx.end_slot == 30
-        assert medium.busy_until(1) == 30
         with pytest.raises(ValueError):
             medium.extend_transmission(tx_id, 20)  # never shrink
 

@@ -1,10 +1,10 @@
 """Equivalence of the incremental Medium against a brute-force reference.
 
-The incremental carrier-sense indexes (per-listener sensed maps +
-lazy busy-until heaps) must answer every query exactly as a full scan
-of the active transmissions would.  A seeded random driver applies
-start / extend / end / update_positions sequences to both and compares
-every query after every operation.
+The incremental carrier-sense indexes (per-listener sensed maps and
+the handshake index) must answer every query exactly as a full scan of
+the active transmissions would.  Seeded random start / extend / end /
+update_positions sequences are applied to both, and every query is
+compared after every operation.
 """
 
 import pytest
@@ -41,14 +41,6 @@ class BruteForceReference:
             for tx in self._active.values()
         )
 
-    def busy_until(self, node_id):
-        ends = [
-            tx.end_slot
-            for tx in self._active.values()
-            if self._medium.senses(tx.sender, node_id)
-        ]
-        return max(ends) if ends else None
-
     def interferers_at(self, receiver, exclude_sender):
         return [
             tx.sender
@@ -69,7 +61,6 @@ def _assert_equivalent(medium, reference, node_ids):
     for node in node_ids:
         assert medium.is_transmitting(node) == reference.is_transmitting(node)
         assert medium.senses_busy(node) == reference.senses_busy(node)
-        assert medium.busy_until(node) == reference.busy_until(node)
         for exclude in (None, node):
             assert medium.interferers_at(node, exclude_sender=exclude) == (
                 reference.interferers_at(node, exclude_sender=exclude)
@@ -123,63 +114,3 @@ def test_random_sequences_match_brute_force(seed):
             medium.update_positions(_positions(rng, nodes))
         live = dict(medium.active_items())
         _assert_equivalent(medium, reference, node_ids)
-
-
-def test_busy_heap_stays_bounded_on_long_runs():
-    """Lazy deletion must not leak: heaps stay O(active transmissions).
-
-    The busy-until heaps never eagerly remove ended or superseded
-    entries; without periodic compaction a long mobile run with one
-    persistent sensed transmission accumulates one stale tuple per
-    ended/extended transmission forever.  The compaction threshold is
-    ``2 * len(tracked) + slack``, so with a single live transmission
-    the heap must stay a small constant regardless of churn.
-    """
-    rng = RngStream(13, "medium-heap-growth")
-    medium = Medium(Channel())
-    medium.update_positions({0: (0, 0), 1: (100, 0), 2: (200, 0)})
-    listener = 1
-    # One persistent transmission keeps listener 1's tracked set
-    # non-empty, so stale entries cannot be cleared by the
-    # everything-ended fast path.
-    persistent = Transmission(sender=0, receiver=1, start_slot=0, end_slot=10**9)
-    persistent_id = medium.start_transmission(persistent)
-    clock = 0
-    max_heap = 0
-    for _cycle in range(2000):
-        clock += 1
-        tx = Transmission(
-            sender=2,
-            receiver=1,
-            start_slot=clock,
-            end_slot=clock + 1 + rng.integers(0, 5),
-        )
-        tx_id = medium.start_transmission(tx)
-        if rng.integers(0, 2):
-            medium.extend_transmission(tx_id, tx.end_slot + rng.integers(0, 5))
-        medium.end_transmission(tx_id)
-        tracked = medium._sensed_active[listener]
-        heap = medium._busy_heaps[listener]
-        assert len(heap) <= 2 * len(tracked) + 16
-        max_heap = max(max_heap, len(heap))
-        assert medium.busy_until(listener) == persistent.end_slot
-    assert max_heap <= 2 * 2 + 16  # never more than two live transmissions
-    medium.end_transmission(persistent_id)
-    assert medium.busy_until(listener) is None
-
-
-def test_extend_keeps_busy_until_exact():
-    """Superseded heap entries must never resurface as busy_until."""
-    rng = RngStream(5, "medium-extend")
-    medium = Medium(Channel())
-    medium.update_positions({0: (0, 0), 1: (100, 0), 2: (200, 0)})
-    reference = BruteForceReference(medium)
-    tx = Transmission(sender=0, receiver=1, start_slot=0, end_slot=10)
-    tx_id = medium.start_transmission(tx)
-    reference.start(tx_id, tx)
-    for _ in range(20):
-        medium.extend_transmission(tx_id, tx.end_slot + rng.integers(0, 9))
-        assert medium.busy_until(1) == reference.busy_until(1) == tx.end_slot
-    medium.end_transmission(tx_id)
-    reference.end(tx_id)
-    assert medium.busy_until(1) is None

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.mac.adversary import AttemptAlwaysOne
 from repro.mac.misbehavior import PercentageMisbehavior
 from repro.sim.listeners import StatsCollector
 from repro.sim.network import Flow, Simulation, SimulationConfig
@@ -45,11 +46,12 @@ class TestSimulationAssembly:
         assert sim.macs[0].policy is not policy
 
     def test_mac_options(self):
+        policy = AttemptAlwaysOne()
         sim = Simulation(
             grid_positions(rows=2, cols=2),
-            mac_options={2: {"announce_attempt_always_one": True}},
+            mac_options={2: {"announcement": policy}},
         )
-        assert sim.macs[2].announce_attempt_always_one
+        assert sim.macs[2].announcement is policy
 
     def test_unknown_flow_source_rejected(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,5 @@
 """Unit tests for the channel observer (the monitor's raw view)."""
 
-import pytest
-
 from repro.core.observation import ChannelObserver, joint_state_counts
 from repro.phy.channel import Channel
 from repro.phy.medium import Medium, Transmission
@@ -54,7 +52,6 @@ class TestBusyIntervals:
         obs = ChannelObserver(1, 0)
         _feed(obs, m, [_tx(0, 1, 10, 20), _tx(2, 1, 20, 30)])
         assert obs.busy_slots_in(0, 40) == 20
-        assert obs.idle_stretches_in(0, 40) == 2  # before 10 and after 30
 
     def test_out_of_range_tx_ignored(self):
         m = _medium()
@@ -67,7 +64,6 @@ class TestBusyIntervals:
         obs = ChannelObserver(1, 0)
         _feed(obs, m, [_tx(1, 0, 10, 20)])
         assert obs.busy_slots_in(0, 30) == 10
-        assert obs.monitor_tx_slots == 10
         assert obs.own_tx_slots_in(0, 30) == 10
         assert obs.own_tx_slots_in(12, 15) == 3
 
@@ -77,37 +73,10 @@ class TestBusyIntervals:
         _feed(obs, m, [_tx(0, 1, 50, 60)])
         _feed(obs, m, [_tx(0, 1, 10, 20)])
         assert obs.busy_slots_in(0, 100) == 20
-        assert obs.idle_stretches_in(0, 100) == 3
-
-    def test_traffic_intensity(self):
-        m = _medium()
-        obs = ChannelObserver(1, 0)
-        _feed(obs, m, [_tx(0, 1, 0, 25)])
-        assert obs.traffic_intensity(0, 100) == pytest.approx(0.25)
 
     def test_empty_range(self):
         obs = ChannelObserver(1, 0)
         assert obs.idle_busy_counts(10, 10) == (0, 0)
-        assert obs.idle_stretches_in(10, 10) == 0
-
-
-class TestIdleStretches:
-    def test_fully_idle(self):
-        obs = ChannelObserver(1, 0)
-        assert obs.idle_stretches_in(0, 100) == 1
-
-    def test_fully_busy(self):
-        m = _medium()
-        obs = ChannelObserver(1, 0)
-        _feed(obs, m, [_tx(0, 1, 0, 100)])
-        assert obs.idle_stretches_in(0, 100) == 0
-
-    def test_interior_gaps(self):
-        m = _medium()
-        obs = ChannelObserver(1, 0)
-        _feed(obs, m, [_tx(0, 1, 10, 20), _tx(0, 1, 40, 50)])
-        # Idle: [0,10), [20,40), [50,100) -> 3 stretches.
-        assert obs.idle_stretches_in(0, 100) == 3
 
 
 class TestTaggedObservations:
@@ -151,15 +120,6 @@ class TestTaggedObservations:
         obs.on_transmission_start(10, rts, m)
         obs.on_transmission_end(20, rts, True, m)
         assert obs.observed[0].rts is None
-
-    def test_retag_clears_history(self):
-        m = _medium()
-        obs = ChannelObserver(1, 0)
-        _feed(obs, m, [_tx(0, 1, 10, 20, frame=object())])
-        obs.retag(2)
-        assert obs.tagged_id == 2
-        assert obs.observed == []
-
 
 class TestJointStateCounts:
     def test_partition_sums_to_range(self):

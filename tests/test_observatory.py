@@ -36,6 +36,8 @@ from repro.obs.audit import DecisionAuditLog
 from repro.obs.registry import MetricsRegistry
 from repro.phy.channel import Channel
 from repro.phy.medium import Medium, Transmission
+from repro.serve.capture import capture_scenario
+from repro.serve.server import ServeConfig, ServeSession
 from repro.sim.listeners import SimulationListener
 from repro.traffic import queue as traffic_queue
 
@@ -178,7 +180,8 @@ class TestMultiDetectorEquivalence:
 
 
 class TestViewCompatibility:
-    """The subscription answers every ChannelObserver query identically."""
+    """The subscription and its shared channel answer every
+    ChannelObserver query identically."""
 
     def _run_pair(self):
         _fresh_run_state()
@@ -203,26 +206,19 @@ class TestViewCompatibility:
         end = observer.last_slot
         assert end > 0
         assert subscription.last_slot == end
-        assert subscription.monitor_tx_slots == observer.monitor_tx_slots
         spans = [(0, end), (end // 4, end // 2), (end // 2, end), (0, 1)]
         for start, stop in spans:
-            assert subscription.busy_slots_in(start, stop) == (
+            assert subscription.channel.busy_slots_in(start, stop) == (
                 observer.busy_slots_in(start, stop)
             )
-            assert subscription.busy_intervals_in(start, stop) == (
+            assert subscription.channel.busy_intervals_in(start, stop) == (
                 observer.busy_intervals_in(start, stop)
             )
             assert subscription.idle_busy_counts(start, stop) == (
                 observer.idle_busy_counts(start, stop)
             )
-            assert subscription.idle_stretches_in(start, stop) == (
-                observer.idle_stretches_in(start, stop)
-            )
             assert subscription.own_tx_slots_in(start, stop) == (
                 observer.own_tx_slots_in(start, stop)
-            )
-            assert subscription.traffic_intensity(start, stop) == (
-                observer.traffic_intensity(start, stop)
             )
         assert subscription.observed == observer.observed
 
@@ -245,7 +241,7 @@ class TestViewCompatibility:
     def test_joint_state_counts_interop(self):
         observer, subscription = self._run_pair()
         end = observer.last_slot
-        mixed = joint_state_counts(subscription, observer, 0, end)
+        mixed = joint_state_counts(subscription.channel, observer, 0, end)
         pure = joint_state_counts(observer, observer, 0, end)
         assert mixed == pure
         assert sum(mixed.values()) == end
@@ -305,25 +301,12 @@ class TestSubscriptionLifecycle:
         assert shared.busy_slots_in(0, 100) == 10
         late = observatory.attach(1, 2, config=CONFIG, fresh_channel=True)
         # The private channel never saw the earlier interval...
-        assert late.observer.busy_slots_in(0, 100) == 0
+        assert late.observer.channel.busy_slots_in(0, 100) == 0
         # ...and the shared one is untouched by the new subscription.
         assert shared.subscribers == 1
         _drive(medium, observatory, sender=0, start=30, end=40)
-        assert late.observer.busy_slots_in(0, 100) == 10
+        assert late.observer.channel.busy_slots_in(0, 100) == 10
         assert shared.busy_slots_in(0, 100) == 20
-
-    def test_retag_moves_demux(self):
-        medium, observatory = _toy_plane()
-        detector = observatory.attach(1, 0, config=CONFIG)
-        subscription = detector.observer
-        _drive(medium, observatory, sender=0, start=10, end=20)
-        assert len(subscription.observed) == 1
-        subscription.retag(2)
-        assert subscription.observed == []
-        _drive(medium, observatory, sender=0, start=30, end=40)
-        assert subscription.observed == []
-        _drive(medium, observatory, sender=2, start=50, end=60)
-        assert len(subscription.observed) == 1
 
     def test_detach_freezes_state_and_releases_channel(self):
         medium, observatory = _toy_plane()
@@ -333,13 +316,52 @@ class TestSubscriptionLifecycle:
         _drive(medium, observatory, sender=0, start=10, end=20)
         observatory.detach(first)
         assert observatory._channels[1].subscribers == 1
-        frozen = first.observer.busy_slots_in(0, 100)
+        frozen = first.observer.channel.busy_slots_in(0, 100)
         _drive(medium, observatory, sender=0, start=30, end=40)
-        assert first.observer.busy_slots_in(0, 100) == frozen + 10  # shared view
+        # The detached subscription still reads the shared channel.
+        assert first.observer.channel.busy_slots_in(0, 100) == frozen + 10
         assert len(first.observer.observed) == 1  # demux frozen
         observatory.detach(second)
         assert 1 not in observatory._channels
         assert observatory._channel_list == []
+
+    def test_detach_drops_feeds_no_detector_holds(self):
+        medium, observatory = _toy_plane()
+        first = observatory.attach(1, 0, config=CONFIG)
+        unborn = observatory.attach(1, 2, config=CONFIG)
+        channel = observatory._channels[1]
+        # Same attach epoch: one shared feed and terminal estimator.
+        assert len(channel.arma_feeds) == len(channel.terminal_feeds) == 1
+        _drive(medium, observatory, sender=0, start=10, end=20)
+        late = observatory.attach(1, 0, config=CONFIG)
+        assert len(channel.arma_feeds) == len(channel.terminal_feeds) == 2
+        assert observatory._unborn == [late._arma_feed]
+        observatory.detach(late)
+        assert observatory._unborn == []
+        assert channel.arma_feeds == [first._arma_feed]
+        assert channel.terminal_feeds == [first.terminal_estimator]
+        observatory.detach(first)
+        # ``unborn`` still holds the epoch-0 feed and estimator.
+        assert channel.arma_feeds == [unborn._arma_feed]
+        assert list(channel._arma_by_key.values()) == channel.arma_feeds
+        assert channel.terminal_feeds == [unborn.terminal_estimator]
+
+    def test_serve_eviction_keeps_live_channel_feeds_bounded(self):
+        """Links that share monitors churn through a capped serve table;
+        each live channel keeps at most one feed and one terminal
+        estimator per subscriber, not one per link it ever served."""
+        lines, _pairs, separation = capture_scenario("multi", 1.0)
+        session = ServeSession(
+            ServeConfig(detector=CONFIG, separation=separation, max_links=8)
+        )
+        for line in lines:
+            session.handle_line(line)
+        assert session.table.evicted_links > 0
+        channels = session.observatory._channel_list
+        assert channels
+        for channel in channels:
+            assert len(channel.arma_feeds) <= channel.subscribers
+            assert len(channel.terminal_feeds) <= channel.subscribers
 
 
 class TestRegionModelCache:

@@ -5,10 +5,9 @@ import multiprocessing.pool
 
 import pytest
 
-from repro.experiments import parallel
 from repro.experiments.fig3 import grid_poisson_factory, run_probability_sweep
 from repro.experiments.fig5 import grid_factory, run_detection_curve
-from repro.experiments.parallel import resolve_jobs, run_trials, set_default_jobs
+from repro.experiments.parallel import run_trials
 from repro.obs.runtime import (
     disable_metrics,
     enable_metrics,
@@ -16,7 +15,7 @@ from repro.obs.runtime import (
     reset_metrics,
     shared_registry,
 )
-from repro.util.pool import fork_map
+from repro.util.pool import JOBS_ENV, fork_map, resolve_jobs, set_default_jobs
 
 
 def _square(task):
@@ -103,25 +102,25 @@ class TestForkMapErrors:
 
 class TestJobsResolution:
     def test_defaults_to_serial(self, monkeypatch):
-        monkeypatch.delenv(parallel.JOBS_ENV, raising=False)
+        monkeypatch.delenv(JOBS_ENV, raising=False)
         assert resolve_jobs() == 1
 
     def test_env_var(self, monkeypatch):
-        monkeypatch.setenv(parallel.JOBS_ENV, "3")
+        monkeypatch.setenv(JOBS_ENV, "3")
         assert resolve_jobs() == 3
 
     def test_argument_beats_default_beats_env(self, monkeypatch):
-        monkeypatch.setenv(parallel.JOBS_ENV, "3")
+        monkeypatch.setenv(JOBS_ENV, "3")
         set_default_jobs(2)
         assert resolve_jobs() == 2
         assert resolve_jobs(5) == 5
 
     def test_zero_means_all_cores(self, monkeypatch):
-        monkeypatch.delenv(parallel.JOBS_ENV, raising=False)
+        monkeypatch.delenv(JOBS_ENV, raising=False)
         assert resolve_jobs(0) >= 1
 
     def test_invalid_env_raises(self, monkeypatch):
-        monkeypatch.setenv(parallel.JOBS_ENV, "many")
+        monkeypatch.setenv(JOBS_ENV, "many")
         with pytest.raises(ValueError, match="REPRO_JOBS"):
             resolve_jobs()
 

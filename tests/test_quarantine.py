@@ -9,8 +9,7 @@ deterministic verifiers or the rank-sum window.  Two regimes:
   but no audit records and no metrics are emitted, keeping same-seed
   audit/metrics streams byte-identical to pre-fault-injection versions
   (pinned by ``tests/test_golden_fingerprints.py``);
-* **faults enabled** (or ``DetectorConfig(quarantine_audit=True)``):
-  every quarantined observation emits a ``rule="quarantine"`` audit
+* **faults enabled**: every quarantined observation emits a ``rule="quarantine"`` audit
   record whose ``detail`` is the impairment reason code, plus
   ``detector.quarantined.<reason>`` metric counters.
 """
@@ -139,26 +138,3 @@ def test_detector_still_detects_through_impairment():
     assert detector.observations  # samples still accumulate
     malicious = [v for v in detector.verdicts if v.diagnosis.value == "malicious"]
     assert malicious or detector.violations
-
-
-# -- explicit overrides -------------------------------------------------------
-
-
-def test_quarantine_audit_forced_on_without_faults():
-    config = DetectorConfig(
-        sample_size=25, known_n=5, known_k=5, quarantine_audit=True
-    )
-    detector, audit = _run(spec=None, config=config)
-    records = _quarantine_records(audit)
-    assert len(records) == sum(detector.quarantine_counts.values()) > 0
-    assert {r.detail for r in records} == {IMPAIRMENT_UNDECODABLE}
-
-
-def test_quarantine_audit_forced_off_with_faults():
-    config = DetectorConfig(
-        sample_size=25, known_n=5, known_k=5, quarantine_audit=False
-    )
-    detector, audit = _run(spec="decode=0.4,seed=7", config=config)
-    assert _quarantine_records(audit) == []
-    # Counts are still tracked even when emission is suppressed.
-    assert detector.quarantine_counts.get(IMPAIRMENT_DECODE_FAILURE, 0) > 0

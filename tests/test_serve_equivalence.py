@@ -32,7 +32,6 @@ import pytest
 
 from repro.core.detector import DetectorConfig, reset_region_cache
 from repro.core.observatory import SharedChannelObservatory
-from repro.experiments.runner import reset_fidelity_cache
 from repro.mac.constants import DEFAULT_TIMING
 from repro.obs.audit import DecisionAuditLog
 from repro.obs.provenance import ProvenanceLog
@@ -51,6 +50,7 @@ from repro.serve.server import (
 )
 from repro.serve.shard import run_serve
 from repro.traffic import queue as traffic_queue
+from repro.util.fidelity import reset_fidelity_cache
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "serve_streams.json"
 

@@ -109,5 +109,5 @@ class TestLoadExtremes:
         observer = ChannelObserver(27, 28)
         sim.add_listener(observer)
         sim.run(2.0)
-        rho = observer.traffic_intensity(0, sim.engine.now)
-        assert rho > 0.5
+        _idle, busy = observer.idle_busy_counts(0, sim.engine.now)
+        assert busy / sim.engine.now > 0.5

@@ -10,7 +10,7 @@ suite pins the two layers of that contract:
   random placements, plus seeded mobility trajectories where the
   incremental ``update`` must match a from-scratch ``rebuild``;
 - the Medium on top: ``index="grid"`` and ``index="brute"`` answer
-  neighbors / sensed_sources / sensors_of / can_decode / senses and
+  neighbors / sensors_of / can_decode / senses and
   the carrier-sense queries identically, through mobility epochs and
   active transmissions.
 """
@@ -136,7 +136,6 @@ class TestSpatialGrid:
 def _assert_adjacency_equal(grid_medium, brute_medium, node_ids):
     for node in node_ids:
         assert grid_medium.neighbors(node) == brute_medium.neighbors(node)
-        assert grid_medium.sensed_sources(node) == brute_medium.sensed_sources(node)
         assert grid_medium.sensors_of(node) == brute_medium.sensors_of(node)
         for other in node_ids:
             assert grid_medium.can_decode(node, other) == (
@@ -184,7 +183,6 @@ class TestMediumGridEquivalence:
                 assert grid_medium.senses_busy(node) == (
                     brute_medium.senses_busy(node)
                 )
-                assert grid_medium.busy_until(node) == brute_medium.busy_until(node)
                 assert grid_medium.interferers_at(node, exclude_sender=None) == (
                     brute_medium.interferers_at(node, exclude_sender=None)
                 )
