@@ -1,7 +1,7 @@
 """Streaming-service capacity: tracked links, resident memory, verdicts.
 
-Two cells price ``repro serve``'s bounded-memory session at the scales
-the detection-as-a-service design targets:
+Three cells price ``repro serve``'s bounded-memory session at the
+scales the detection-as-a-service design targets:
 
 * **capacity** — one session ingesting a synthetic honest-traffic
   stream over ``100_000 x REPRO_SCALE`` isolated links (two exchanges
@@ -14,11 +14,18 @@ the detection-as-a-service design targets:
   scale the per-event cost must not grow with the link count: each
   event touches only the channels it involves, and an idle link's ARMA
   feed folds its own timeline only when read or at maintenance.
+* **sinks** — the capacity stream replayed twice more, without and then
+  with audit and provenance sinks attached.  Reports the sinks-on line
+  throughput and ``ratio``, sinks-on over sinks-off throughput.  Both
+  replays follow the capacity cell's, because a process's first replay
+  runs faster than later ones and would bias the ratio.  A flush writes
+  only the records made since the last one, so the ratio must stay near
+  1 however many links are tracked; CI gates it.
 * **verdict** — a small hot set (200 links) carrying deep streams
   (130 exchanges each), pricing the steady-state verdict pipeline:
   rank-sum windows batched at the flush cadence, incremental audit and
-  provenance appends, maintenance sweeps.  Reports verdicts and lines
-  per second.
+  provenance appends to in-memory sinks, maintenance sweeps.  Reports
+  verdicts and lines per second.
 
 Both cells ride ``warmup_slots=0`` (the synthetic generator's exact
 ``difs + dictated`` gaps make every inter-frame gap an observation) so
@@ -27,13 +34,16 @@ the measured work includes the full sample pipeline, not warmup skips.
 
 from __future__ import annotations
 
+import gc
+import io
 import time
 import tracemalloc
+from typing import List, Tuple
 
 from repro.core.detector import DetectorConfig
 from repro.obs.bench import write_bench_manifest
 from repro.serve.capture import synthetic_stream
-from repro.serve.server import ServeConfig, ServeSession
+from repro.serve.server import ServeConfig, ServeResult, ServeSession
 from repro.util.fidelity import scaled
 
 SEED = 13
@@ -50,19 +60,27 @@ PROBE_LINKS = 10_000
 CONFIG = DetectorConfig(sample_size=25, known_n=5, known_k=5, warmup_slots=0)
 
 
-def _session() -> ServeSession:
-    return ServeSession(ServeConfig(detector=CONFIG))
+def _session(sinks: bool = False) -> ServeSession:
+    if not sinks:
+        return ServeSession(ServeConfig(detector=CONFIG))
+    return ServeSession(
+        ServeConfig(detector=CONFIG),
+        audit_sink=io.StringIO(),
+        provenance_sink=io.StringIO(),
+    )
 
 
-def _capacity_cell() -> dict:
-    n_links = scaled(BASE_LINKS, minimum=1_000)
-    lines = list(synthetic_stream(n_links, CAPACITY_SAMPLES))
-
-    # Timed run: untraced, end-to-end (parse -> ingest -> verdicts).
-    session = _session()
+def _timed_run(lines: List[str], sinks: bool) -> Tuple[ServeResult, float]:
+    """One untraced end-to-end replay (parse -> ingest -> verdicts)."""
+    session = _session(sinks)
+    gc.collect()  # leave no earlier cell's garbage to this timing
     begin = time.perf_counter()
     result = session.run(lines)
-    secs = time.perf_counter() - begin
+    return result, time.perf_counter() - begin
+
+
+def _capacity_cell(n_links: int, lines: List[str]) -> dict:
+    result, secs = _timed_run(lines, sinks=False)
 
     # Traced probe: what one session's detection state costs to keep
     # resident, per 10k tracked links.  The stream lines live outside
@@ -95,12 +113,22 @@ def _capacity_cell() -> dict:
     }
 
 
+def _sinks_cell(n_links: int, lines: List[str]) -> dict:
+    _result, off_secs = _timed_run(lines, sinks=False)
+    result, secs = _timed_run(lines, sinks=True)
+    assert len(result.links) == n_links
+    return {
+        "links": n_links,
+        "lines": len(lines),
+        "seconds": secs,
+        "lines_per_sec": len(lines) / secs if secs > 0 else 0.0,
+        "ratio": off_secs / secs if secs > 0 else 0.0,
+    }
+
+
 def _verdict_cell() -> dict:
     lines = list(synthetic_stream(VERDICT_LINKS, VERDICT_SAMPLES))
-    session = _session()
-    begin = time.perf_counter()
-    result = session.run(lines)
-    secs = time.perf_counter() - begin
+    result, secs = _timed_run(lines, sinks=True)
     verdicts = sum(len(link.verdicts) for link in result.links)
     assert len(result.links) == VERDICT_LINKS
     assert verdicts > 0, "deep streams produced no verdicts"
@@ -116,18 +144,25 @@ def _verdict_cell() -> dict:
 
 def bench_serve_capacity(benchmark):
     def run():
+        n_links = scaled(BASE_LINKS, minimum=1_000)
+        lines = list(synthetic_stream(n_links, CAPACITY_SAMPLES))
         return {
-            "capacity": _capacity_cell(),
+            "capacity": _capacity_cell(n_links, lines),
+            "sinks": _sinks_cell(n_links, lines),
             "verdict": _verdict_cell(),
         }
 
     cells = benchmark.pedantic(run, rounds=1, iterations=1)
-    capacity, verdict = cells["capacity"], cells["verdict"]
+    capacity, sinks, verdict = cells["capacity"], cells["sinks"], cells["verdict"]
     print()
     print(
         f"serve capacity: {capacity['links']:,} links tracked, "
         f"{capacity['lines_per_sec']:>9,.0f} lines/s, "
         f"{capacity['resident_kb_per_10k_links']:,.0f} KB per 10k links"
+    )
+    print(
+        f"serve sinks on: {sinks['lines_per_sec']:>9,.0f} lines/s, "
+        f"{sinks['ratio']:.2f}x sinks-off"
     )
     print(
         f"serve verdicts: {verdict['links']} links x {VERDICT_SAMPLES} tx, "

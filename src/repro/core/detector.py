@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Deque, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.core.arma import ArmaTrafficEstimator
 from repro.core.bianchi import CompetingTerminalEstimator
@@ -61,7 +61,7 @@ if TYPE_CHECKING:  # pragma: no cover - import-time only
     from repro.core.deterministic import DeterministicViolation
     from repro.core.observation import ObservedTransmission
     from repro.core.observatory import BatchScheduler, ObservatorySubscription
-    from repro.core.observatory import _ArmaFeed, _PendingWindow
+    from repro.core.observatory import _ArmaFeed
     from repro.core.ranksum import RankSumResult
     from repro.core.records import Verdict as _Verdict
     from repro.mac.constants import MacTiming
@@ -166,6 +166,43 @@ class DetectorConfig:
     max_test_attempt: int = 3
 
 
+def ranked_pair(
+    config: DetectorConfig, timing: "MacTiming", observation: BackoffObservation
+) -> Tuple[float, float]:
+    """The (x, y) pair the rank-sum test ranks for one observation.
+
+    x is the dictated back-off and y the estimate plus the guard band;
+    with ``normalize_by_cw`` both are in units of the attempt's CW + 1.
+    """
+    window = contention_window(
+        min(observation.attempt, timing.retry_limit), timing.cw_min, timing.cw_max
+    )
+    if config.normalize_by_cw:
+        return (
+            observation.dictated / (window + 1.0),
+            observation.estimated / (window + 1.0) + config.guard_band,
+        )
+    return (
+        float(observation.dictated),
+        observation.estimated + config.guard_band * (window + 1.0),
+    )
+
+
+class _Publication(NamedTuple):
+    """A verdict's reserved places and the state its records describe.
+
+    ``verdict_index`` is the verdict's ``verdicts`` slot and id number.
+    """
+
+    verdict_index: int
+    audit_index: Optional[int]
+    provenance_index: Optional[int]
+    window_meta: List[Tuple[int, int, float, float]]
+    quarantine_drops: Dict[str, int]
+    skipped_samples: int
+    rho: float
+
+
 class BackoffMisbehaviorDetector(SimulationListener):
     """Monitors one tagged neighbor for back-off timer violations."""
 
@@ -252,7 +289,6 @@ class BackoffMisbehaviorDetector(SimulationListener):
         self._window_meta: Deque[Tuple[int, int, float, float]] = deque(
             maxlen=cfg.sample_size
         )
-        self._verdict_seq = 0
         self._tracer = active_tracer()
         #: first slot this detector saw
         self._birth_slot: Optional[int] = None
@@ -534,12 +570,7 @@ class BackoffMisbehaviorDetector(SimulationListener):
             self.metrics.inc("detector.samples")
         if rts.attempt > self.config.max_test_attempt:
             return
-        if self.config.normalize_by_cw:
-            x = dictated / (window + 1.0)
-            y = estimated / (window + 1.0) + self.config.guard_band
-        else:
-            x = float(dictated)
-            y = estimated + self.config.guard_band * (window + 1.0)
+        x, y = ranked_pair(self.config, self.timing, observation)
         self.test.add_sample(x, y)
         self._window_meta.append(
             (len(self.observations) - 1, current.start_slot, x, y)
@@ -592,39 +623,48 @@ class BackoffMisbehaviorDetector(SimulationListener):
                 )
             )
 
+    def _reserve(self, rule: str) -> _Publication:
+        """Claim a verdict's places and freeze what its records describe.
+
+        A deferred window (serve's scheduler) reserves when it becomes
+        ready and is filled at a later flush.  Deterministic violations
+        published in between therefore cannot take its list position or
+        id number, and its provenance describes the moment it was
+        reserved, so every artifact is flush-cadence-invariant.
+        """
+        self.verdicts.append(None)  # type: ignore[arg-type]
+        audit, provenance = self.audit, self.provenance
+        described = provenance is not None or self._tracer is not None
+        return _Publication(
+            verdict_index=len(self.verdicts) - 1,
+            audit_index=None if audit is None else audit.reserve(),
+            provenance_index=None if provenance is None else provenance.reserve(),
+            window_meta=(
+                list(self._window_meta) if described and rule == "rank_sum" else []
+            ),
+            quarantine_drops=dict(sorted(self.quarantine_counts.items())),
+            skipped_samples=self.skipped_samples,
+            # Reading rho settles the ARMA feed; only provenance needs it.
+            rho=0.0 if provenance is None else self.rho,
+        )
+
     def _publish(
         self,
         verdict: "_Verdict",
         rule: str,
         detail: str,
         threshold: Optional[float] = None,
-        window_meta: Optional[List[Tuple[int, int, float, float]]] = None,
-        audit_index: Optional[int] = None,
-        provenance_index: Optional[int] = None,
-        verdict_index: Optional[int] = None,
-        verdict_seq: Optional[int] = None,
-        rho: Optional[float] = None,
-        quarantine_drops: Optional[Dict[str, int]] = None,
-        skipped_samples: Optional[int] = None,
+        publication: Optional[_Publication] = None,
     ) -> None:
-        """Append a verdict plus its audit record and metric counts.
+        """Fill a verdict's reserved places: list slot, records, metrics.
 
-        ``audit_index``/``provenance_index`` are reserved log slots for
-        deferred (serve's scheduler) publication: the records land at
-        the exact positions an eager evaluation would have written, so
-        log interleaving across detectors is flush-cadence-invariant.
-        ``window_meta`` likewise carries the window bookkeeping
-        snapshotted at deferral time (the live deque may have advanced),
-        and ``rho``/``quarantine_drops``/``skipped_samples`` the
-        detector-state counters frozen then — a deferred fill must
-        describe the deferral moment, not the flush moment, for
-        provenance to be flush-cadence-invariant.
+        Without ``publication`` the verdict reserves and fills at once,
+        which is an eager append.
         """
-        if verdict_index is None:
-            self.verdicts.append(verdict)
-        else:
-            self.verdicts[verdict_index] = verdict
-        if self.audit is not None:
+        if publication is None:
+            publication = self._reserve(rule)
+        self.verdicts[publication.verdict_index] = verdict
+        if self.audit is not None and publication.audit_index is not None:
             audit_entry = AuditRecord(
                 slot=verdict.slot,
                 monitor=self.monitor_id,
@@ -638,10 +678,7 @@ class BackoffMisbehaviorDetector(SimulationListener):
                 threshold=threshold,
                 sample_size=verdict.sample_size,
             )
-            if audit_index is None:
-                self.audit.record(audit_entry)
-            else:
-                self.audit.fill(audit_index, audit_entry)
+            self.audit.fill(publication.audit_index, audit_entry)
         if self.metrics is not None:
             self.metrics.inc("detector.verdicts")
             self.metrics.inc(f"detector.verdicts.{verdict.diagnosis.value}")
@@ -650,18 +687,12 @@ class BackoffMisbehaviorDetector(SimulationListener):
             self.metrics.inc(f"detector.verdicts.{layer}")
         if self.provenance is None and self._tracer is None:
             return
-        if verdict_seq is None:
-            verdict_seq = self._verdict_seq
-            self._verdict_seq += 1
         verdict_id = (
             f"{self.monitor_id}-{self.tagged_id}-{verdict.slot}"
-            f"-{rule}-{verdict_seq}"
+            f"-{rule}-{publication.verdict_index}"
         )
-        if window_meta is not None:
-            meta = window_meta
-        else:
-            meta = list(self._window_meta) if rule == "rank_sum" else []
-        if self.provenance is not None:
+        meta = publication.window_meta
+        if self.provenance is not None and publication.provenance_index is not None:
             provenance_entry = ProvenanceRecord(
                 verdict_id=verdict_id,
                 slot=verdict.slot,
@@ -681,27 +712,12 @@ class BackoffMisbehaviorDetector(SimulationListener):
                 p_value=verdict.p_value,
                 threshold=threshold,
                 sample_size=verdict.sample_size,
-                rho=self.rho if rho is None else rho,
+                rho=publication.rho,
                 arma_alpha=self.config.arma_alpha,
-                quarantine_drops=dict(
-                    sorted(
-                        (
-                            self.quarantine_counts
-                            if quarantine_drops is None
-                            else quarantine_drops
-                        ).items()
-                    )
-                ),
-                skipped_samples=(
-                    self.skipped_samples
-                    if skipped_samples is None
-                    else skipped_samples
-                ),
+                quarantine_drops=publication.quarantine_drops,
+                skipped_samples=publication.skipped_samples,
             )
-            if provenance_index is None:
-                self.provenance.record(provenance_entry)
-            else:
-                self.provenance.fill(provenance_index, provenance_entry)
+            self.provenance.fill(publication.provenance_index, provenance_entry)
         tracer = self._tracer
         if tracer is not None:
             if meta:
@@ -763,16 +779,9 @@ class BackoffMisbehaviorDetector(SimulationListener):
         self,
         result: "RankSumResult",
         slot: Slots,
-        window_meta: Optional[List[Tuple[int, int, float, float]]] = None,
-        audit_index: Optional[int] = None,
-        provenance_index: Optional[int] = None,
-        verdict_index: Optional[int] = None,
-        verdict_seq: Optional[int] = None,
-        rho: Optional[float] = None,
-        quarantine_drops: Optional[Dict[str, int]] = None,
-        skipped_samples: Optional[int] = None,
+        publication: Optional[_Publication] = None,
     ) -> None:
-        """Publish one rank-sum verdict (eager or deferred-fill)."""
+        """Publish one rank-sum verdict (eager, or a deferred fill)."""
         decision = self.test.decide(result)
         diagnosis = (
             Diagnosis.MALICIOUS
@@ -794,41 +803,7 @@ class BackoffMisbehaviorDetector(SimulationListener):
                 f"p={result.p_value:.6g} vs alpha={self.config.alpha}"
             ),
             threshold=self.config.alpha,
-            window_meta=window_meta,
-            audit_index=audit_index,
-            provenance_index=provenance_index,
-            verdict_index=verdict_index,
-            verdict_seq=verdict_seq,
-            rho=rho,
-            quarantine_drops=quarantine_drops,
-            skipped_samples=skipped_samples,
-        )
-
-    def _reserve_verdict(self) -> int:
-        """Claim the next ``verdicts`` slot for a deferred fill.
-
-        Coarse flush cadences (the streaming service) let deterministic
-        violations publish between a window's deferral and its flush;
-        reserving the slot keeps the verdict list in eager order.
-        """
-        self.verdicts.append(None)  # type: ignore[arg-type]
-        return len(self.verdicts) - 1
-
-    def _finish_deferred_evaluation(
-        self, pending: "_PendingWindow", result: "RankSumResult"
-    ) -> None:
-        """Flush-time completion of a window deferred by the scheduler."""
-        self._emit_rank_sum_verdict(
-            result,
-            pending.slot,
-            window_meta=pending.window_meta,
-            audit_index=pending.audit_index,
-            provenance_index=pending.provenance_index,
-            verdict_index=pending.verdict_index,
-            verdict_seq=pending.verdict_seq,
-            rho=pending.rho,
-            quarantine_drops=pending.quarantine_drops,
-            skipped_samples=pending.skipped_samples,
+            publication=publication,
         )
 
     # -- conveniences -----------------------------------------------------------

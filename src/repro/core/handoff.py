@@ -31,6 +31,7 @@ from repro.core.detector import BackoffMisbehaviorDetector, DetectorConfig
 from repro.core.deterministic import DeterministicViolation
 from repro.core.records import BackoffObservation, Verdict
 from repro.geometry.vectors import distance
+from repro.mac.constants import DEFAULT_TIMING
 from repro.sim.listeners import SimulationListener
 from repro.util.units import Slots
 
@@ -62,7 +63,7 @@ class MonitorHandoff(SimulationListener):
             raise ValueError("MonitorHandoff requires an RngStream")
         self.tagged_id = tagged_id
         self.config = config if config is not None else DetectorConfig()
-        self.timing = timing
+        self.timing = timing if timing is not None else DEFAULT_TIMING
         self._rng = rng
         #: one audit log spans every monitor of this tagged node
         self.audit = audit

@@ -327,9 +327,9 @@ class ChannelViewBase:
     def prune_before(self, horizon: Slots) -> int:
         """Drop timeline intervals that end at or before ``horizon``.
 
-        The long-running streaming service calls this with the oldest
-        slot any live query can still reach (ARMA cursors, pending
-        sample anchors); intervals straddling the horizon are kept
+        The observatory's ``compact`` calls this with the oldest slot
+        any live query can still reach (ARMA cursors, pending sample
+        anchors); intervals straddling the horizon are kept
         whole, so every query over ``[horizon, ∞)`` is unchanged.
         Returns the number of intervals dropped.
         """

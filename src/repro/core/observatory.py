@@ -50,6 +50,7 @@ from repro.util.units import Slots
 if TYPE_CHECKING:  # pragma: no cover - import-time only
     from repro.core.arma import ArmaTrafficEstimator
     from repro.core.bianchi import CompetingTerminalEstimator
+    from repro.core.detector import _Publication
     from repro.faults.schedule import FaultSchedule
     from repro.mac.constants import MacTiming
     from repro.obs.audit import DecisionAuditLog
@@ -225,49 +226,30 @@ class ObservatorySubscription:
 
 @dataclass
 class _PendingWindow:
-    """One rank-sum-ready window, snapshotted at deferral time.
+    """One rank-sum-ready window and its reserved publication.
 
-    The log indices were reserved when the window became ready, so the
-    flush-time fill lands every record exactly where an eager
-    evaluation would have written it; the (x, y) copies protect the
-    window contents from later ``add_sample`` calls in the same flush
-    cycle.  The rho/quarantine/skip counters are likewise frozen at
-    deferral — provenance must describe the detector state *when the
-    window became ready*, not whatever it drifted to by flush time
-    (coarse flush cadences, as the streaming service runs, would
-    otherwise leak later ingests into earlier records).
+    ``x`` and ``y`` are copies, so later ``add_sample`` calls in the same
+    flush cycle cannot change what is ranked.
     """
 
     detector: BackoffMisbehaviorDetector
     slot: int
-    alternative: str
     x: List[float]
     y: List[float]
-    window_meta: List[Tuple[int, int, float, float]]
-    audit_index: Optional[int]
-    provenance_index: Optional[int]
-    #: reserved ``detector.verdicts`` slot and ``_verdict_seq`` value —
-    #: deterministic violations published between deferral and flush
-    #: must not overtake this verdict's list position or id numbering
-    verdict_index: int
-    verdict_seq: Optional[int]
-    rho: float
-    quarantine_drops: Dict[str, int]
-    skipped_samples: int
+    publication: "_Publication"
 
 
 class BatchScheduler:
-    """Coalesces ready rank-sum windows across all detectors.
+    """Stores ready rank-sum windows and ranks them together at a flush.
 
     A detector tests each window at ingest, one scalar rank-sum per
     ready window.  A detector whose ``_batch_scheduler`` points here (the
     streaming service wires every link's detector to its session
     scheduler) *defers* ready windows instead, and each :meth:`flush`
     ranks them through :func:`repro.core.ranksum.rank_sum_many` in one
-    vectorized call per alternative.  Verdict slots, per-detector
-    ordering, and the shared audit/provenance interleaving are all
-    preserved: the verdict slot is captured at deferral, and the log
-    positions were reserved then.
+    vectorized call per alternative.  The scheduler only stores: the
+    detector reserves each verdict's places when its window is deferred
+    (``_reserve``) and fills them when the flush hands back the result.
     """
 
     def __init__(self) -> None:
@@ -277,36 +259,10 @@ class BatchScheduler:
         return len(self._pending)
 
     def defer(self, detector: BackoffMisbehaviorDetector, slot: Slots) -> None:
-        """Snapshot one ready window and reserve its log positions."""
+        """Store one ready window and its reserved publication."""
         x, y = detector.test.window_snapshot()
-        audit_index = None if detector.audit is None else detector.audit.reserve()
-        provenance_index = (
-            None if detector.provenance is None else detector.provenance.reserve()
-        )
-        verdict_index = detector._reserve_verdict()
-        verdict_seq: Optional[int] = None
-        if detector.provenance is not None or detector._tracer is not None:
-            # Mirror _publish's id numbering at deferral time, so a
-            # deterministic verdict published before the flush cannot
-            # steal this verdict's sequence number.
-            verdict_seq = detector._verdict_seq
-            detector._verdict_seq += 1
         self._pending.append(
-            _PendingWindow(
-                detector=detector,
-                slot=slot,
-                alternative=detector.test.alternative,
-                x=x,
-                y=y,
-                window_meta=list(detector._window_meta),
-                audit_index=audit_index,
-                provenance_index=provenance_index,
-                verdict_index=verdict_index,
-                verdict_seq=verdict_seq,
-                rho=detector.rho,
-                quarantine_drops=dict(detector.quarantine_counts),
-                skipped_samples=detector.skipped_samples,
-            )
+            _PendingWindow(detector, slot, x, y, detector._reserve("rank_sum"))
         )
 
     def flush(self) -> None:
@@ -317,7 +273,7 @@ class BatchScheduler:
         self._pending = []
         groups: Dict[str, List[_PendingWindow]] = {}
         for entry in pending:
-            groups.setdefault(entry.alternative, []).append(entry)
+            groups.setdefault(entry.detector.test.alternative, []).append(entry)
         for alternative, group in groups.items():
             if len(group) <= 4:
                 # Below the kernel's numpy fixed cost (it overtakes the
@@ -335,7 +291,9 @@ class BatchScheduler:
                     alternative,
                 )
             for entry, result in zip(group, results):
-                entry.detector._finish_deferred_evaluation(entry, result)
+                entry.detector._emit_rank_sum_verdict(
+                    result, entry.slot, entry.publication
+                )
 
 
 class SharedChannelObservatory(SimulationListener):
@@ -537,6 +495,47 @@ class SharedChannelObservatory(SimulationListener):
         for channel in self._channel_list:
             for feed in channel.arma_feeds:
                 feed.settle()
+
+    def compact(self, present: Slots) -> Tuple[int, int]:
+        """Drop timeline and demux state no live query can reach again.
+
+        A subscription's anchor is the end slot of its last processed
+        observation, where the next interval query starts (``present``
+        before there is one).  Each channel prunes behind its earliest
+        anchor and feed cursor; each demux drops the processed
+        observations before its anchor.  Returns ``(intervals pruned,
+        observations dropped)``.
+        """
+        self.sync_ingest()
+        horizons: Dict[MonitorChannel, Slots] = {}
+        dropped = 0
+        for subs in self._subs_by_tagged.values():
+            for subscription in subs:
+                detector = subscription._detector
+                if detector is None:
+                    continue
+                processed = detector._processed
+                anchor = (
+                    subscription.observed[processed - 1].end_slot
+                    if processed > 0
+                    else present
+                )
+                channel = subscription.channel
+                horizons[channel] = min(horizons.get(channel, anchor), anchor)
+                if processed > 1:
+                    del subscription.observed[: processed - 1]
+                    detector._processed = 1
+                    dropped += processed - 1
+        pruned = 0
+        for channel, horizon in horizons.items():
+            for feed in channel.arma_feeds:
+                if feed.birth_slot is None:
+                    horizon = 0
+                    break
+                horizon = min(horizon, feed.cursor)
+            if horizon > 0:
+                pruned += channel.prune_before(horizon)
+        return pruned, dropped
 
     def _channels_of(
         self, nodes: "FrozenSet[int]", extra: Optional[int] = None

@@ -13,9 +13,10 @@ DAG).
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.detector import BackoffMisbehaviorDetector, DetectorConfig
+from repro.core.detector import BackoffMisbehaviorDetector, DetectorConfig, ranked_pair
 from repro.core.ranksum import rank_sum_test
 from repro.util.units import Seconds
 
@@ -145,13 +146,16 @@ def windowed_detection_rate(
     This mirrors the paper's per-run semantics: each window of
     ``sample_size`` samples yields one hypothesis-test decision; a
     deterministic violation inside the window's time span also counts
-    as a (correct or false) malicious diagnosis.  ``max_attempt`` and
+    as a (correct or false) malicious diagnosis.  Each sample is ranked
+    as the detector ranks it (:func:`repro.core.detector.ranked_pair`,
+    under the detector's config and timing).  ``max_attempt`` and
     ``guard_band`` default to the detector's configuration.
     """
+    config = detector.config
     if max_attempt is None:
-        max_attempt = detector.config.max_test_attempt
-    if guard_band is None:
-        guard_band = detector.config.guard_band
+        max_attempt = config.max_test_attempt
+    if guard_band is not None:
+        config = dataclasses.replace(config, guard_band=guard_band)
     observations = [
         o for o in detector.observations if o.attempt <= max_attempt
     ]
@@ -162,8 +166,9 @@ def windowed_detection_rate(
     windows = 0
     for start in range(0, len(observations) - sample_size + 1, sample_size):
         window = observations[start : start + sample_size]
-        x = [w.dictated / _norm(w) for w in window]
-        y = [w.estimated / _norm(w) + guard_band for w in window]
+        pairs = [ranked_pair(config, detector.timing, w) for w in window]
+        x = [pair[0] for pair in pairs]
+        y = [pair[1] for pair in pairs]
         result = rank_sum_test(x, y, alternative)
         hit = result.p_value < alpha
         if include_deterministic and not hit:
@@ -173,14 +178,6 @@ def windowed_detection_rate(
         detected += 1 if hit else 0
         windows += 1
     return detected / windows, windows
-
-
-def _norm(observation):
-    """The CW normalizer for one observation (see DetectorConfig)."""
-    from repro.mac.backoff import contention_window
-
-    window = contention_window(min(observation.attempt, 7), 31, 1023)
-    return window + 1.0
 
 
 def split_seeds(base_seed: int, count: int) -> List[int]:

@@ -29,6 +29,10 @@ recording *which rule fired* as a structured record:
 
 Records are plain dataclasses serialized to JSON-lines with sorted
 keys, so audit files are diffable and byte-stable for a fixed seed.
+:class:`JsonlLog` is the one log base: the record list, index
+reservation (:meth:`~JsonlLog.reserve` / :meth:`~JsonlLog.fill`) and
+JSONL in and out.  :class:`DecisionAuditLog` here and
+:class:`repro.obs.provenance.ProvenanceLog` add only their queries.
 This module deliberately imports nothing from :mod:`repro.core` — the
 detector depends on it, not the other way around.
 """
@@ -38,7 +42,19 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import (
+    Any,
+    Dict,
+    Generic,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+    Type,
+    TypeVar,
+    Union,
+)
 
 AUDIT_SCHEMA = "repro.obs/audit/v1"
 
@@ -102,50 +118,87 @@ class AuditRecord:
         return cls(**data)  # type: ignore[arg-type]
 
 
-#: Placeholder occupying a reserved slot until :meth:`DecisionAuditLog.fill`
-#: replaces it.  Identity-compared, never serialized: serve's scheduler
-#: fills every reservation at its next flush, before any log is read.
-_DEFERRED = AuditRecord(
-    slot=-1,
-    monitor=-1,
-    tagged=-1,
-    rule="rank_sum",
-    diagnosis="deferred",
-    deterministic=False,
-)
+RecordT = TypeVar("RecordT")
+LogT = TypeVar("LogT", bound="JsonlLog[Any]")
+
+#: Placeholder occupying a reserved index until :meth:`JsonlLog.fill`
+#: replaces it.  Identity-compared, never serialized: every reservation
+#: is filled (serve's scheduler fills at its next flush) before a log is
+#: read.
+_RESERVED = object()
 
 
-class DecisionAuditLog:
-    """An append-only list of :class:`AuditRecord`, JSONL in and out.
+def jsonl_line(record: Any) -> str:
+    """One record as a compact, sorted-key JSON line (no newline)."""
+    return json.dumps(record.to_dict(), sort_keys=True, separators=(",", ":"))
 
-    Serve's scheduler evaluates rank-sum windows at its flush cadence
-    rather than at ingest; :meth:`reserve` / :meth:`fill` let it keep
-    each deferred record at the exact index an eager evaluation would
-    have written, so audit streams stay byte-identical at any cadence.
+
+class JsonlLog(Generic[RecordT]):
+    """An append-only record list with reserved indices, JSONL in and out.
+
+    A verdict's records can be claimed before they can be written:
+    :meth:`reserve` holds the index an eager append would have taken and
+    :meth:`fill` writes the record there later, so a log's order never
+    depends on when its records were completed.  :meth:`record` is both
+    at once, so every index a log hands out is claimed by ``reserve``.
     """
 
-    def __init__(self, records: Optional[Iterable[AuditRecord]] = None) -> None:
-        self.records: List[AuditRecord] = list(records or [])
+    #: the record class :meth:`from_jsonl` parses each line into
+    record_type: Any = None
 
-    def record(self, entry: AuditRecord) -> None:
-        self.records.append(entry)
+    def __init__(self, records: Optional[Iterable[RecordT]] = None) -> None:
+        self.records: List[RecordT] = list(records or [])
+
+    def record(self, entry: RecordT) -> None:
+        self.fill(self.reserve(), entry)
 
     def reserve(self) -> int:
         """Claim the next index for a record to be filled in later."""
-        self.records.append(_DEFERRED)
+        self.records.append(_RESERVED)  # type: ignore[arg-type]
         return len(self.records) - 1
 
-    def fill(self, index: int, entry: AuditRecord) -> None:
+    def fill(self, index: int, entry: RecordT) -> None:
         """Replace the reserved placeholder at ``index`` with ``entry``."""
-        if self.records[index] is not _DEFERRED:
-            raise ValueError(f"audit index {index} was not reserved")
+        if self.records[index] is not _RESERVED:
+            raise ValueError(
+                f"{type(self).__name__} index {index} was not reserved"
+            )
         self.records[index] = entry
 
     def __len__(self) -> int:
         return len(self.records)
 
-    def __iter__(self) -> "Iterable[AuditRecord]":
+    def __iter__(self) -> Iterator[RecordT]:
         return iter(self.records)
+
+    def to_jsonl(self) -> str:
+        """One compact, sorted-key JSON object per line."""
+        return "\n".join(jsonl_line(r) for r in self.records)
+
+    def write_jsonl(self, path: Union[str, Path]) -> Path:
+        target = Path(path)
+        text = self.to_jsonl()
+        target.write_text(text + "\n" if text else "", encoding="ascii")
+        return target
+
+    @classmethod
+    def from_jsonl(cls: Type[LogT], text: str) -> LogT:
+        records = [
+            cls.record_type.from_dict(json.loads(line))
+            for line in text.splitlines()
+            if line.strip()
+        ]
+        return cls(records)
+
+    @classmethod
+    def read_jsonl(cls: Type[LogT], path: Union[str, Path]) -> LogT:
+        return cls.from_jsonl(Path(path).read_text(encoding="ascii"))
+
+
+class DecisionAuditLog(JsonlLog[AuditRecord]):
+    """The detector's :class:`AuditRecord` stream, with rule summaries."""
+
+    record_type = AuditRecord
 
     # -- summaries ----------------------------------------------------------
 
@@ -162,31 +215,3 @@ class DecisionAuditLog:
     @property
     def statistical_count(self) -> int:
         return sum(1 for r in self.records if not r.deterministic)
-
-    # -- JSONL --------------------------------------------------------------
-
-    def to_jsonl(self) -> str:
-        """One compact, sorted-key JSON object per line."""
-        return "\n".join(
-            json.dumps(r.to_dict(), sort_keys=True, separators=(",", ":"))
-            for r in self.records
-        )
-
-    def write_jsonl(self, path: Union[str, Path]) -> Path:
-        target = Path(path)
-        text = self.to_jsonl()
-        target.write_text(text + "\n" if text else "", encoding="ascii")
-        return target
-
-    @classmethod
-    def from_jsonl(cls, text: str) -> "DecisionAuditLog":
-        records = [
-            AuditRecord.from_dict(json.loads(line))
-            for line in text.splitlines()
-            if line.strip()
-        ]
-        return cls(records)
-
-    @classmethod
-    def read_jsonl(cls, path: Union[str, Path]) -> "DecisionAuditLog":
-        return cls.from_jsonl(Path(path).read_text(encoding="ascii"))

@@ -20,15 +20,19 @@ provenance is attached.
 structured dict (observations -> window -> rank-sum -> verdict), and
 :func:`render_explanation` turns it into a human-readable narrative.
 Export is JSONL (``demo --provenance OUT`` on the CLI), one sorted-key
-object per line, byte-stable for a fixed seed.
+object per line, byte-stable for a fixed seed.  The list, index
+reservation and JSONL code live in the shared
+:class:`repro.obs.audit.JsonlLog` base; :class:`ProvenanceLog` adds
+only its lookups.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, List, Optional, Union
+
+from repro.obs.audit import JsonlLog
 
 PROVENANCE_SCHEMA = "repro.obs/provenance/v1"
 
@@ -114,53 +118,10 @@ class ProvenanceRecord:
         return cls(**data)  # type: ignore[arg-type]
 
 
-#: Placeholder occupying a reserved slot until :meth:`ProvenanceLog.fill`
-#: replaces it.  Identity-compared, never serialized: serve's scheduler
-#: fills every reservation at its next flush, before any log is read.
-_DEFERRED = ProvenanceRecord(
-    verdict_id="<deferred>",
-    slot=-1,
-    monitor=-1,
-    tagged=-1,
-    rule="rank_sum",
-    diagnosis="deferred",
-    deterministic=False,
-)
+class ProvenanceLog(JsonlLog[ProvenanceRecord]):
+    """The detector's :class:`ProvenanceRecord` stream, with lookups."""
 
-
-class ProvenanceLog:
-    """An append-only list of :class:`ProvenanceRecord`, JSONL in/out.
-
-    :meth:`reserve` / :meth:`fill` mirror the audit log's deferred-slot
-    protocol: serve's scheduler reserves a record's index when a window
-    becomes ready and fills it at its next flush, keeping record order
-    byte-identical to eager evaluation.
-    """
-
-    def __init__(
-        self, records: Optional[Iterable[ProvenanceRecord]] = None
-    ) -> None:
-        self.records: List[ProvenanceRecord] = list(records or [])
-
-    def record(self, entry: ProvenanceRecord) -> None:
-        self.records.append(entry)
-
-    def reserve(self) -> int:
-        """Claim the next index for a record to be filled in later."""
-        self.records.append(_DEFERRED)
-        return len(self.records) - 1
-
-    def fill(self, index: int, entry: ProvenanceRecord) -> None:
-        """Replace the reserved placeholder at ``index`` with ``entry``."""
-        if self.records[index] is not _DEFERRED:
-            raise ValueError(f"provenance index {index} was not reserved")
-        self.records[index] = entry
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self) -> "Iterable[ProvenanceRecord]":
-        return iter(self.records)
+    record_type = ProvenanceRecord
 
     def find(self, verdict_id: str) -> ProvenanceRecord:
         """The record with ``verdict_id`` (raises KeyError if absent)."""
@@ -183,34 +144,6 @@ class ProvenanceLog:
     def explain(self, verdict_id: str) -> Dict[str, object]:
         """See :func:`explain`."""
         return explain(self, verdict_id)
-
-    # -- JSONL --------------------------------------------------------------
-
-    def to_jsonl(self) -> str:
-        """One compact, sorted-key JSON object per line."""
-        return "\n".join(
-            json.dumps(r.to_dict(), sort_keys=True, separators=(",", ":"))
-            for r in self.records
-        )
-
-    def write_jsonl(self, path: Union[str, Path]) -> Path:
-        target = Path(path)
-        text = self.to_jsonl()
-        target.write_text(text + "\n" if text else "", encoding="ascii")
-        return target
-
-    @classmethod
-    def from_jsonl(cls, text: str) -> "ProvenanceLog":
-        records = [
-            ProvenanceRecord.from_dict(json.loads(line))
-            for line in text.splitlines()
-            if line.strip()
-        ]
-        return cls(records)
-
-    @classmethod
-    def read_jsonl(cls, path: Union[str, Path]) -> "ProvenanceLog":
-        return cls.from_jsonl(Path(path).read_text(encoding="ascii"))
 
 
 def explain(

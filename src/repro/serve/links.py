@@ -2,34 +2,37 @@
 
 Each tracked link owns one observatory subscription plus private audit
 and provenance logs whose records are tagged with the stream event
-index they were produced (or reserved) at — the merge key that lets
-sharded workers reassemble the exact single-process log interleaving.
+index they were produced (or reserved) at.  ``(event tag, attach seq,
+per-link index)`` is the one publication order: it lets sharded workers
+reassemble the exact single-process log interleaving, and the session's
+sink writer orders each flush's records by it.
 
-Bounded memory has three levers, all here or driven from here:
-
-* the :class:`LinkTable` cap with LRU eviction (least recent tagged
-  activity, attach order as the tie-break — deterministic, stream-only);
-* :class:`ObservationLedger`, a list replacement for
-  ``detector.observations`` that retains only the newest K entries while
-  preserving *virtual* indices (so provenance observation ids match an
-  unbounded run exactly);
-* demux compaction (:func:`compact_link`): processed
-  ``ObservedTransmission`` entries before the current sample anchor are
-  dropped from the subscription.
+Two bounded-memory levers live here: the :class:`LinkTable` cap with LRU
+eviction (least recent tagged activity, attach order as the tie-break —
+deterministic, stream-only), and :class:`ObservationLedger`, a list
+replacement for ``detector.observations`` that retains only the newest
+K entries while preserving *virtual* indices (so provenance observation
+ids match an unbounded run exactly).  Timeline pruning and demux
+compaction belong to the observatory
+(:meth:`~repro.core.observatory.SharedChannelObservatory.compact`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.detector import BackoffMisbehaviorDetector
 from repro.core.observatory import ObservatorySubscription
 from repro.core.records import BackoffObservation
-from repro.obs.audit import AuditRecord, DecisionAuditLog
+from repro.obs.audit import AuditRecord, DecisionAuditLog, JsonlLog, RecordT
 from repro.obs.provenance import ProvenanceLog, ProvenanceRecord
 
 LinkKey = Tuple[int, int]
+#: publication order of one record: (event tag, attach seq, per-link index)
+SortKey = Tuple[int, int, int]
+#: a claimed record awaiting its sink: its sort key and the log holding it
+Outgoing = Tuple[SortKey, JsonlLog[Any]]
 
 
 class EventClock:
@@ -41,40 +44,44 @@ class EventClock:
         self.index = 0
 
 
-class TaggedAuditLog(DecisionAuditLog):
-    """An audit log that stamps each record with its stream event index."""
+class _EventTagged(JsonlLog[RecordT]):
+    """Stamps each record a log claims with its stream event index.
 
-    def __init__(self, clock: EventClock) -> None:
-        DecisionAuditLog.__init__(self)
+    The tag is fixed when the record's index is claimed (every append
+    claims through :meth:`reserve`), so a deferred fill sorts at the
+    event that made its window ready, not at the flush.  Given the
+    session's ``outbox`` for this log's sink, each claim also queues its
+    sort key ``(event tag, attach seq, per-link index)`` and the log
+    there, so the sink writer touches only records made since its last
+    flush.
+    """
+
+    def __init__(
+        self,
+        clock: EventClock,
+        attach_seq: int,
+        outbox: Optional[List[Outgoing]] = None,
+    ) -> None:
+        super().__init__()
         self._clock = clock
+        self._attach_seq = attach_seq
+        self._outbox = outbox
         self.tags: List[int] = []
 
-    def record(self, entry: AuditRecord) -> None:
-        self.tags.append(self._clock.index)
-        DecisionAuditLog.record(self, entry)
-
     def reserve(self) -> int:
-        # The tag is fixed at reservation: a deferred fill must sort at
-        # the event that made the window ready, not at the flush event.
-        self.tags.append(self._clock.index)
-        return DecisionAuditLog.reserve(self)
+        tag = self._clock.index
+        if self._outbox is not None:
+            self._outbox.append(((tag, self._attach_seq, len(self.tags)), self))
+        self.tags.append(tag)
+        return super().reserve()
 
 
-class TaggedProvenanceLog(ProvenanceLog):
-    """A provenance log that stamps each record with its event index."""
+class TaggedAuditLog(_EventTagged[AuditRecord], DecisionAuditLog):
+    """An audit log whose records carry their stream event index."""
 
-    def __init__(self, clock: EventClock) -> None:
-        ProvenanceLog.__init__(self)
-        self._clock = clock
-        self.tags: List[int] = []
 
-    def record(self, entry: ProvenanceRecord) -> None:
-        self.tags.append(self._clock.index)
-        ProvenanceLog.record(self, entry)
-
-    def reserve(self) -> int:
-        self.tags.append(self._clock.index)
-        return ProvenanceLog.reserve(self)
+class TaggedProvenanceLog(_EventTagged[ProvenanceRecord], ProvenanceLog):
+    """A provenance log whose records carry their stream event index."""
 
 
 class ObservationLedger:
@@ -128,9 +135,6 @@ class LinkState:
     provenance: TaggedProvenanceLog
     #: stream event index of the tagged node's most recent end event
     last_active: int = 0
-    #: audit/provenance records already flushed to an incremental sink
-    emitted_audit: int = 0
-    emitted_provenance: int = 0
     ledger: Optional[ObservationLedger] = field(default=None)
 
 
@@ -195,19 +199,3 @@ class LinkTable:
         self.evicted_links += 1
         self.evicted_verdicts += len(state.detector.verdicts)
 
-
-def compact_link(state: LinkState) -> int:
-    """Drop demuxed observations older than the current sample anchor.
-
-    The next sample anchors at ``observed[_processed - 1]``; everything
-    before it can never be read again.  Indices into ``observed`` are
-    relative (the pipeline only uses ``_processed``), so shifting both
-    by the same count is invisible to the detector.  Returns drops.
-    """
-    detector = state.detector
-    excess = detector._processed - 1
-    if excess <= 0:
-        return 0
-    del state.subscription.observed[:excess]
-    detector._processed -= excess
-    return excess

@@ -4,28 +4,35 @@
 through the exact in-process machinery — a
 :class:`~repro.core.observatory.SharedChannelObservatory` of
 :class:`~repro.core.detector.BackoffMisbehaviorDetector` subscriptions —
-via the observatory's medium-free ``ingest_*`` methods.  Three things
+via the observatory's medium-free ``ingest_*`` methods.  Four things
 distinguish it from a simulator run:
 
 * **Coalesced evaluation.** Every detector's ready windows defer to one
   session-owned :class:`~repro.core.observatory.BatchScheduler` flushed
   every ``flush_every`` end events, so
   :func:`~repro.core.ranksum.rank_sum_many` ranks a flush's worth of
-  windows per call.  Because deferral snapshots the window *and* the
-  provenance counters at the event that produced it, and log indices are
-  reserved then, verdicts/audit/provenance are byte-identical to eager
-  per-event evaluation at any flush cadence.
+  windows per call.  The detector reserves each deferred verdict's list
+  slot, id number and log indices, and freezes what its records
+  describe, at the event that produced it, so verdicts/audit/provenance
+  are byte-identical to eager per-event evaluation at any flush cadence.
 
-* **Bounded memory.** Channel timelines are pruned behind the oldest
-  slot any live query can reach, subscription demuxes are compacted
-  behind the sample anchor, the observation store can be capped with
-  virtual indices intact, and the link table LRU-evicts under
-  ``max_links``.
+* **Incremental sinks.** Each record a link's log claims is queued, with
+  its publication-order key, in the outbox of its sink; a flush writes
+  only those records, so its cost follows its new records, not the
+  number of tracked links.
+
+* **Bounded memory.** At each maintenance sweep the observatory prunes
+  channel timelines behind the oldest slot any live query can reach and
+  compacts subscription demuxes behind the sample anchor
+  (:meth:`~repro.core.observatory.SharedChannelObservatory.compact`);
+  the observation store can be capped with virtual indices intact, and
+  the link table LRU-evicts under ``max_links``.
 
 * **Sharding.** With ``shard_count > 1`` the session only attaches
   links whose :func:`shard_of` hash it owns; per-record event-index
   tags let :func:`merged_audit_jsonl` reassemble the single-process log
-  order from any worker layout.
+  order from any worker layout.  One helper orders records for the
+  merges and for the sinks.
 """
 
 from __future__ import annotations
@@ -33,13 +40,14 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, TextIO, Tuple
+from operator import itemgetter
+from typing import Any, Dict, Iterable, List, Optional, Sequence, TextIO, Tuple
 
 from repro.core.detector import BackoffMisbehaviorDetector, DetectorConfig
 from repro.core.observatory import BatchScheduler, SharedChannelObservatory
 from repro.core.records import BackoffObservation, Verdict
 from repro.mac.prng import splitmix64
-from repro.obs.audit import AuditRecord, DecisionAuditLog
+from repro.obs.audit import AuditRecord, DecisionAuditLog, jsonl_line
 from repro.obs.provenance import ProvenanceLog, ProvenanceRecord
 from repro.obs.registry import MetricsRegistry
 from repro.serve.links import (
@@ -48,9 +56,10 @@ from repro.serve.links import (
     LinkState,
     LinkTable,
     ObservationLedger,
+    Outgoing,
+    SortKey,
     TaggedAuditLog,
     TaggedProvenanceLog,
-    compact_link,
 )
 from repro.serve.records import (
     REASON_DUPLICATE_TX,
@@ -59,12 +68,12 @@ from repro.serve.records import (
     EndEvent,
     PositionsEvent,
     RecordRejected,
-    ShutdownEvent,
     StartEvent,
     StreamEvent,
     parse_line,
 )
 from repro.util.units import Slots
+from repro.util.validation import check_positive
 
 FINGERPRINT_SCHEMA = "repro.serve/fingerprint/v1"
 
@@ -100,8 +109,13 @@ class ServeConfig:
     shard_count: int = 1
 
     def __post_init__(self) -> None:
+        # Checked here, not when the first link attaches: by then a live
+        # source is open, and every sharded worker would fail alike.
         if self.flush_every < 1:
             raise ValueError(f"flush_every must be >= 1, got {self.flush_every}")
+        if self.observation_retention is not None:
+            check_positive(self.observation_retention, "observation_retention")
+        check_positive(self.detector.sample_size, "sample_size")
         if self.maintain_every < 0:
             raise ValueError(
                 f"maintain_every must be >= 0, got {self.maintain_every}"
@@ -190,51 +204,46 @@ def export_detector(
     )
 
 
-def merged_audit_jsonl(links: Sequence[LinkExport]) -> str:
-    """All links' audit records in single-process publication order.
+def _ordered_lines(rows: List[Tuple[SortKey, Any]]) -> List[str]:
+    """Serialize ``(sort key, record)`` rows in publication order.
 
-    Sort key ``(event tag, attach order, per-link index)``: within one
-    stream event only one tagged node's links publish, in attach order,
-    each appending in sequence — exactly the interleaving one shared
-    in-process log records.  Worker layout cannot change any component,
-    so the merge is jobs-invariant.
+    The sort key is ``(event tag, attach order, per-link index)``.
+    Within one stream event only one tagged node's links publish, in
+    attach order, each appending in sequence, so the key reproduces
+    exactly the interleaving one shared in-process log records.  Worker
+    layout cannot change any component, so every merge, and every
+    flush's sink write, comes out in the same order at any ``--jobs``.
     """
-    rows: List[Tuple[Tuple[int, int, int], str]] = []
-    for link in links:
-        for idx, record in enumerate(link.audit_records):
-            tag = link.audit_tags[idx] if idx < len(link.audit_tags) else 0
-            rows.append(
-                (
-                    (tag, link.attach_seq, idx),
-                    json.dumps(
-                        record.to_dict(), sort_keys=True, separators=(",", ":")
-                    ),
-                )
-            )
-    rows.sort(key=lambda row: row[0])
-    return "\n".join(line for _key, line in rows)
+    rows.sort(key=itemgetter(0))
+    return [jsonl_line(record) for _key, record in rows]
+
+
+def _merged_jsonl(logs: Iterable[Tuple[int, List[int], Sequence[Any]]]) -> str:
+    """``(attach seq, tags, records)`` link logs as one JSONL text.
+
+    Untagged records (an in-process reference run) sort at tag 0.
+    """
+    rows = [
+        ((tags[idx] if idx < len(tags) else 0, attach_seq, idx), record)
+        for attach_seq, tags, records in logs
+        for idx, record in enumerate(records)
+    ]
+    return "\n".join(_ordered_lines(rows))
+
+
+def merged_audit_jsonl(links: Sequence[LinkExport]) -> str:
+    """All links' audit records in single-process publication order."""
+    return _merged_jsonl(
+        (link.attach_seq, link.audit_tags, link.audit_records) for link in links
+    )
 
 
 def merged_provenance_jsonl(links: Sequence[LinkExport]) -> str:
-    """All links' provenance records in publication order (see audit)."""
-    rows: List[Tuple[Tuple[int, int, int], str]] = []
-    for link in links:
-        for idx, record in enumerate(link.provenance_records):
-            tag = (
-                link.provenance_tags[idx]
-                if idx < len(link.provenance_tags)
-                else 0
-            )
-            rows.append(
-                (
-                    (tag, link.attach_seq, idx),
-                    json.dumps(
-                        record.to_dict(), sort_keys=True, separators=(",", ":")
-                    ),
-                )
-            )
-    rows.sort(key=lambda row: row[0])
-    return "\n".join(line for _key, line in rows)
+    """All links' provenance records in single-process publication order."""
+    return _merged_jsonl(
+        (link.attach_seq, link.provenance_tags, link.provenance_records)
+        for link in links
+    )
 
 
 def result_fingerprint(links: Sequence[LinkExport]) -> Dict[str, object]:
@@ -321,6 +330,13 @@ class ServeSession:
         self.table = LinkTable(self.config.max_links)
         self.audit_sink = audit_sink
         self.provenance_sink = provenance_sink
+        #: records claimed since the last flush, per attached sink
+        self._audit_outbox: Optional[List[Outgoing]] = (
+            None if audit_sink is None else []
+        )
+        self._provenance_outbox: Optional[List[Outgoing]] = (
+            None if provenance_sink is None else []
+        )
         #: every link key ever seen, with its global attach sequence —
         #: numbering is a pure function of the stream, shared by every
         #: shard layout (non-owned links get a number but no state)
@@ -358,8 +374,8 @@ class ServeSession:
             return None
         if self.table.needs_eviction():
             self._evict(self.table.pick_victim())
-        audit = TaggedAuditLog(self.clock)
-        provenance = TaggedProvenanceLog(self.clock)
+        audit = TaggedAuditLog(self.clock, seq, self._audit_outbox)
+        provenance = TaggedProvenanceLog(self.clock, seq, self._provenance_outbox)
         detector = self.observatory.attach(
             monitor,
             tagged,
@@ -372,8 +388,8 @@ class ServeSession:
         # Detectors evaluate eagerly on their own; pointing them at the
         # session scheduler defers every ready window to the
         # flush-cadence rank_sum_many batch instead (byte-identical —
-        # the deferral snapshots window + counters and reserves log
-        # indices at the producing event).
+        # the detector reserves the verdict's places and freezes what
+        # its records describe at the producing event).
         detector._batch_scheduler = self.scheduler
         ledger: Optional[ObservationLedger] = None
         if self.config.observation_retention is not None:
@@ -518,61 +534,24 @@ class ServeSession:
             self.scheduler.flush()
             self.flushes += 1
         self._ends_since_flush = 0
-        self._emit_incremental()
-
-    def _emit_incremental(self) -> None:
-        """Append newly concrete records to the incremental sinks."""
-        if self.audit_sink is None and self.provenance_sink is None:
-            return
-        if self.audit_sink is not None:
-            rows: List[Tuple[Tuple[int, int, int], str]] = []
-            for state in self.table.states():
-                records = state.audit.records
-                for idx in range(state.emitted_audit, len(records)):
-                    rows.append(
-                        (
-                            (state.audit.tags[idx], state.attach_seq, idx),
-                            json.dumps(
-                                records[idx].to_dict(),
-                                sort_keys=True,
-                                separators=(",", ":"),
-                            ),
-                        )
-                    )
-                state.emitted_audit = len(records)
-            rows.sort(key=lambda row: row[0])
-            for _key, line in rows:
-                self.audit_sink.write(line + "\n")
-        if self.provenance_sink is not None:
-            rows = []
-            for state in self.table.states():
-                records = state.provenance.records
-                for idx in range(state.emitted_provenance, len(records)):
-                    rows.append(
-                        (
-                            (state.provenance.tags[idx], state.attach_seq, idx),
-                            json.dumps(
-                                records[idx].to_dict(),
-                                sort_keys=True,
-                                separators=(",", ":"),
-                            ),
-                        )
-                    )
-                state.emitted_provenance = len(records)
-            rows.sort(key=lambda row: row[0])
-            for _key, line in rows:
-                self.provenance_sink.write(line + "\n")
+        # Every reservation is filled now, so each queued record is
+        # concrete; write them in publication order.
+        for sink, outbox in (
+            (self.audit_sink, self._audit_outbox),
+            (self.provenance_sink, self._provenance_outbox),
+        ):
+            if sink is None or not outbox:
+                continue
+            rows = [(key, log.records[key[2]]) for key, log in outbox]
+            outbox.clear()
+            for line in _ordered_lines(rows):
+                sink.write(line + "\n")
 
     def _maintain(self) -> None:
-        """Prune timelines and compact demuxes behind live query reach."""
+        """Compact the observatory and trim the observation stores."""
         self._ends_since_maintain = 0
-        # Feeds fold on read; settle them all before reading their
-        # cursors as prune horizons.
-        self.observatory.sync_ingest()
-        pruned = self._prune_timelines()
-        compacted = 0
+        pruned, compacted = self.observatory.compact(self._current_slot)
         for state in self.table.states():
-            compacted += compact_link(state)
             if state.ledger is not None:
                 compacted += state.ledger.trim()
         self.pruned_intervals += pruned
@@ -582,39 +561,6 @@ class ServeSession:
         if compacted:
             self.link_metrics.inc("serve.observations.compacted", compacted)
         self.link_metrics.set_gauge("serve.links.tracked", len(self.table))
-
-    def _prune_timelines(self) -> int:
-        """Per channel: drop intervals behind every live query horizon.
-
-        The horizon is the minimum of each subscription's sample anchor
-        (the end slot of its last processed observation — the next
-        interval query starts there) and each ARMA feed's cursor (its
-        next ingest starts there).  ``prune_before`` keeps straddling
-        intervals whole, so all later queries are unchanged.
-        """
-        horizons: Dict[int, Tuple[object, Slots]] = {}
-        for state in self.table.states():
-            subscription = state.subscription
-            channel = subscription.channel
-            detector = state.detector
-            if detector._processed > 0:
-                anchor = subscription.observed[detector._processed - 1].end_slot
-            else:
-                anchor = self._current_slot
-            entry = horizons.get(id(channel))
-            if entry is None or anchor < entry[1]:
-                horizons[id(channel)] = (channel, anchor)
-        total = 0
-        for channel, anchor in horizons.values():
-            horizon = anchor
-            for feed in channel.arma_feeds:  # type: ignore[attr-defined]
-                if feed.birth_slot is None:
-                    horizon = 0
-                    break
-                horizon = min(horizon, feed.cursor)
-            if horizon > 0:
-                total += channel.prune_before(horizon)  # type: ignore[attr-defined]
-        return total
 
     # -- results -----------------------------------------------------------
 

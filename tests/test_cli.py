@@ -157,3 +157,8 @@ class TestServeExecution:
     def test_missing_input_fails(self, tmp_path):
         with pytest.raises(OSError):
             main(["serve", "--input", str(tmp_path / "absent.jsonl")])
+
+    @pytest.mark.parametrize("flag", ["--retention", "--sample-size"])
+    def test_zero_size_fails_before_the_source_opens(self, tmp_path, flag):
+        with pytest.raises(ValueError):
+            main(["serve", "--input", str(tmp_path / "absent.jsonl"), flag, "0"])

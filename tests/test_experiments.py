@@ -4,6 +4,9 @@ import math
 
 import pytest
 
+from repro.core.detector import DetectorConfig
+from repro.core.ranksum import rank_sum_test
+from repro.experiments import runner
 from repro.experiments.config import TABLE1, Table1Config
 from repro.experiments.fig3 import (
     grid_poisson_factory,
@@ -23,6 +26,7 @@ from repro.experiments.scenarios import (
     RandomScenario,
     build_grid_simulation,
 )
+from repro.obs.provenance import ProvenanceLog
 from repro.util.fidelity import fidelity_scale, scaled
 
 
@@ -150,6 +154,32 @@ class TestDetectionPipeline:
         rate, windows = windowed_detection_rate(honest_samples, 10_000)
         assert math.isnan(rate)
         assert windows == 0
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_windowed_rate_ranks_the_detectors_samples(self, normalize, monkeypatch):
+        """The experiments rank exactly the (x, y) the detector ranked."""
+        provenance = ProvenanceLog()
+        config = DetectorConfig(
+            sample_size=25, known_n=5, known_k=5, normalize_by_cw=normalize
+        )
+        detector = collect_detection_samples(
+            GridScenario(seed=3),
+            pm=50,
+            detector_config=config,
+            target_samples=30,
+            max_duration_s=20.0,
+            provenance=provenance,
+        )
+        ranked = []
+
+        def spy(x, y, alternative):
+            ranked.append((list(x), list(y)))
+            return rank_sum_test(x, y, alternative)
+
+        monkeypatch.setattr(runner, "rank_sum_test", spy)
+        windowed_detection_rate(detector, 25)
+        first = next(r for r in provenance if r.rule == "rank_sum")
+        assert ranked[0] == (first.dictated, first.estimated)
 
     def test_cheater_detected(self):
         scenario = GridScenario(load=0.6, seed=33, rows=5, cols=6, n_pairs=14)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import io
 import itertools
 import json
 from pathlib import Path
@@ -220,6 +221,40 @@ class TestServeEquivalence:
         assert discovered <= set(pairs)
         assert all(link.discovered for link in result.links)
         assert sum(len(link.observations) for link in result.links) > 0
+
+
+@pytest.mark.parametrize("max_links", [None, 6], ids=["uncapped", "capped"])
+def test_sinks_receive_the_merged_publication_order(max_links):
+    """The bytes a session streams to its sinks, at every flush cadence.
+
+    Uncapped, they are the final merged logs; capped, evicted links'
+    records reach the sinks only, so the cadences are compared.
+    """
+    lines, _pairs, separation, _reference = _captured_run("multi")
+    written = []
+    for flush_every in (1, 64, 10**9):
+        audit, provenance = io.StringIO(), io.StringIO()
+        result = run_serve(
+            iter(lines),
+            ServeConfig(
+                detector=CONFIG,
+                separation=separation,
+                flush_every=flush_every,
+                max_links=max_links,
+            ),
+            jobs=1,
+            audit_sink=audit,
+            provenance_sink=provenance,
+        )
+        if max_links is None:
+            assert audit.getvalue() == result.audit_jsonl() + "\n"
+            assert provenance.getvalue() == result.provenance_jsonl() + "\n"
+        else:
+            assert result.evicted_links > 0
+        written.append((audit.getvalue(), provenance.getvalue()))
+    assert written[0][0] and written[0][1]
+    for flush_every, sinks in zip((64, 10**9), written[1:]):
+        assert sinks == written[0], f"sink bytes moved at flush_every={flush_every}"
 
 
 def test_subscriptions_report_the_latest_end_slot():

@@ -252,6 +252,21 @@ class TestStreamSemanticRejects:
         assert session.clock.index == 0
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"observation_retention": 0},
+        {"detector": DetectorConfig(sample_size=0)},
+    ],
+    ids=["retention", "sample_size"],
+)
+def test_config_rejects_empty_stores(config):
+    """Checked when the config is built, not when a link first attaches
+    mid-stream (a live source would already be open)."""
+    with pytest.raises(ValueError):
+        ServeConfig(**config)
+
+
 class TestFuzzTotality:
     @settings(max_examples=200, deadline=None)
     @given(line=st.text(max_size=200))
