@@ -30,6 +30,15 @@ class ArmaTrafficEstimator:
     early reads are sensible rather than zero.
     """
 
+    __slots__ = (
+        "alpha",
+        "sample_interval_slots",
+        "_estimate",
+        "_pending_busy",
+        "_pending_total",
+        "intervals_consumed",
+    )
+
     def __init__(
         self, alpha: float = 0.995, sample_interval_slots: int = 500
     ) -> None:

@@ -79,6 +79,11 @@ class BianchiModel:
         return self.tau_of_p(p), p
 
 
+#: The default contention configuration's model; it holds only
+#: ``(w, stages)``, so every default estimator shares it.
+_DEFAULT_MODEL = BianchiModel()
+
+
 class CompetingTerminalEstimator:
     """Run-time estimate of the number of competing terminals.
 
@@ -88,10 +93,12 @@ class CompetingTerminalEstimator:
     traffic estimator.
     """
 
+    __slots__ = ("model", "alpha", "_p_hat", "samples")
+
     def __init__(
         self, model: Optional[BianchiModel] = None, alpha: float = 0.995
     ) -> None:
-        self.model = model if model is not None else BianchiModel()
+        self.model = model if model is not None else _DEFAULT_MODEL
         self.alpha = check_in_range(alpha, 0.0, 1.0, "alpha")
         self._p_hat: Optional[float] = None
         self.samples = 0

@@ -29,9 +29,8 @@ its timers).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Deque, Dict, List, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.core.arma import ArmaTrafficEstimator
 from repro.core.bianchi import CompetingTerminalEstimator
@@ -98,10 +97,35 @@ def cached_region_model(
     return model
 
 
+#: The estimators built on one RegionModel, keyed by the model's id.
+#: Both only read their model, so every detector on that geometry
+#: shares them; each entry holds its model, so an id cannot be reused
+#: while it is cached.
+_estimator_cache: Dict[
+    int, Tuple[RegionModel, SystemStateEstimator, NodeDensityEstimator]
+] = {}
+
+
+def region_estimators(
+    model: RegionModel,
+) -> Tuple[SystemStateEstimator, NodeDensityEstimator]:
+    """The shared (eqs. 1-5, density) estimators of ``model`` (memoized)."""
+    entry = _estimator_cache.get(id(model))
+    if entry is None:
+        entry = _estimator_cache[id(model)] = (
+            model,
+            SystemStateEstimator(model),
+            NodeDensityEstimator(region_model=model),
+        )
+    return entry[1], entry[2]
+
+
 @register_cache_reset
 def reset_region_cache() -> None:
-    """Forget all memoized RegionModels (test isolation escape hatch)."""
+    """Forget all memoized RegionModels and their estimators (test
+    isolation escape hatch)."""
     _region_cache.clear()
+    _estimator_cache.clear()
 
 
 #: Discard samples whose estimate exceeds this many times (CW + 1) slots.
@@ -110,6 +134,8 @@ PLAUSIBILITY_SLACK = 2.0
 COUNTDOWN_TOLERANCE = 6
 #: EWMA factor for the occupancy tracker.
 OCCUPANCY_ALPHA = 0.99
+#: The countdown verifier holds only its tolerance, so detectors share it.
+_COUNTDOWN_VERIFIER = UnambiguousCountdownVerifier(COUNTDOWN_TOLERANCE)
 
 
 @dataclass
@@ -204,7 +230,48 @@ class _Publication(NamedTuple):
 
 
 class BackoffMisbehaviorDetector(SimulationListener):
-    """Monitors one tagged neighbor for back-off timer violations."""
+    """Monitors one tagged neighbor for back-off timer violations.
+
+    A serve session holds one detector per tracked link, so the class
+    is slotted and the config-derived, stateless parts (region-model
+    estimators, countdown verifier) are shared, not built per link.
+    """
+
+    __slots__ = (
+        "config",
+        "timing",
+        "monitor_id",
+        "tagged_id",
+        "audit",
+        "provenance",
+        "metrics",
+        "_subscribed",
+        "observer",
+        "prng",
+        "state_estimator",
+        "arma",
+        "terminal_estimator",
+        "density_estimator",
+        "test",
+        "seq_verifier",
+        "attempt_verifier",
+        "countdown_verifier",
+        "quarantine_counts",
+        "_quarantine_audit",
+        "observations",
+        "skipped_samples",
+        "verdicts",
+        "violations",
+        "_arma_cursor",
+        "_processed",
+        "_window_meta",
+        "_tracer",
+        "_birth_slot",
+        "_invisible_ewma",
+        "_occupancy_samples",
+        "_arma_feed",
+        "_batch_scheduler",
+    )
 
     def __init__(
         self,
@@ -252,18 +319,19 @@ class BackoffMisbehaviorDetector(SimulationListener):
             if separation is not None:
                 kwargs["separation"] = separation
             region_model = cached_region_model(**kwargs)
-        self.state_estimator = SystemStateEstimator(region_model)
+        self.state_estimator, self.density_estimator = region_estimators(
+            region_model
+        )
         self.arma = ArmaTrafficEstimator(
             cfg.arma_alpha, cfg.arma_interval_slots
         )
         self.terminal_estimator = CompetingTerminalEstimator()
-        self.density_estimator = NodeDensityEstimator(region_model=region_model)
         self.test = BackoffHypothesisTest(
             cfg.sample_size, cfg.alpha, cfg.alternative
         )
         self.seq_verifier = SequenceOffsetVerifier()
         self.attempt_verifier = AttemptNumberVerifier()
-        self.countdown_verifier = UnambiguousCountdownVerifier(COUNTDOWN_TOLERANCE)
+        self.countdown_verifier = _COUNTDOWN_VERIFIER
 
         #: quarantined (undecodable/corrupt-announcement) observation
         #: counts by reason code — always tracked.  Each one also gets an
@@ -282,13 +350,12 @@ class BackoffMisbehaviorDetector(SimulationListener):
         self._arma_cursor = 0
         self._processed = 0          # observer.observed entries consumed
         #: (observation index, slot, ranked x, ranked y) of the samples
-        #: currently inside the statistical window — mirrors the
-        #: hypothesis test's sample deque so a verdict's provenance can
-        #: name the exact observations it ranked.  Pure bookkeeping: no
-        #: RNG draws, no float effects on the detection path.
-        self._window_meta: Deque[Tuple[int, int, float, float]] = deque(
-            maxlen=cfg.sample_size
-        )
+        #: currently inside the statistical window — trimmed in lockstep
+        #: with the hypothesis test's window lists so a verdict's
+        #: provenance can name the exact observations it ranked.  Pure
+        #: bookkeeping: no RNG draws, no float effects on the detection
+        #: path.
+        self._window_meta: List[Tuple[int, int, float, float]] = []
         self._tracer = active_tracer()
         #: first slot this detector saw
         self._birth_slot: Optional[int] = None
@@ -357,8 +424,7 @@ class BackoffMisbehaviorDetector(SimulationListener):
             interferer_offset=current.interferer_offset,
             far_interferer_offset=current.far_interferer_offset,
         )
-        self.state_estimator = SystemStateEstimator(model)
-        self.density_estimator = NodeDensityEstimator(region_model=model)
+        self.state_estimator, self.density_estimator = region_estimators(model)
 
     def on_transmission_end(
         self,
@@ -572,9 +638,10 @@ class BackoffMisbehaviorDetector(SimulationListener):
             return
         x, y = ranked_pair(self.config, self.timing, observation)
         self.test.add_sample(x, y)
-        self._window_meta.append(
-            (len(self.observations) - 1, current.start_slot, x, y)
-        )
+        meta = self._window_meta
+        meta.append((len(self.observations) - 1, current.start_slot, x, y))
+        if len(meta) > self.test.sample_size:
+            del meta[0]
         self._evaluate(current.start_slot)
 
     # -- verdicts ------------------------------------------------------------

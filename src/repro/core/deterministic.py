@@ -45,6 +45,8 @@ class SequenceOffsetVerifier:
     ``max_gap`` (missed-frame allowance) is flagged.
     """
 
+    __slots__ = ("max_gap", "_last_field")
+
     def __init__(self, max_gap: int = 64) -> None:
         if max_gap < 1 or max_gap >= SEQ_OFF_MODULUS // 2:
             raise ValueError(f"max_gap must be in [1, {SEQ_OFF_MODULUS // 2}), got {max_gap}")
@@ -82,6 +84,8 @@ class SequenceOffsetVerifier:
 
 class AttemptNumberVerifier:
     """Checks Attempt# consistency against the DATA digest."""
+
+    __slots__ = ("_last_digest", "_last_attempt")
 
     def __init__(self) -> None:
         self._last_digest: Optional[bytes] = None
@@ -129,6 +133,8 @@ class AttemptNumberVerifier:
 
 class UnambiguousCountdownVerifier:
     """Checks dictated-vs-observed countdown when there is no uncertainty."""
+
+    __slots__ = ("tolerance_slots",)
 
     def __init__(self, tolerance_slots: int = 4) -> None:
         if tolerance_slots < 0:

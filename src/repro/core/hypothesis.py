@@ -14,10 +14,9 @@ below 0.01, which corresponds to alpha = 0.01 here.
 from __future__ import annotations
 
 import enum
-from collections import deque
-from typing import Deque, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from repro.core.ranksum import RankSumResult, rank_sum_test
+from repro.core.ranksum import RankSumResult, check_alternative, rank_sum_test
 from repro.util.validation import check_positive, check_probability
 
 
@@ -42,7 +41,14 @@ class BackoffHypothesisTest:
         Passed to the rank-sum test; ``"less"`` (default) tests for
         *shorter* observed back-offs, the misbehavior of interest.
         ``"two-sided"`` also catches anomalously long back-offs.
+
+    The window is a pair of lists holding the newest ``sample_size``
+    pairs, oldest first: each append past ``sample_size`` drops the
+    oldest pair.  A window costs only the samples it holds, so a link
+    that never forms a sample carries two empty lists.
     """
+
+    __slots__ = ("sample_size", "alpha", "alternative", "_x", "_y")
 
     def __init__(
         self,
@@ -52,14 +58,16 @@ class BackoffHypothesisTest:
     ) -> None:
         self.sample_size = int(check_positive(sample_size, "sample_size"))
         self.alpha = check_probability(alpha, "alpha")
-        self.alternative = alternative
-        self._x: Deque[float] = deque(maxlen=self.sample_size)
-        self._y: Deque[float] = deque(maxlen=self.sample_size)
+        self.alternative = check_alternative(alternative)
+        self._x: List[float] = []
+        self._y: List[float] = []
 
     def add_sample(self, dictated: float, estimated: float) -> None:
-        """Append one (x, y) pair to the window."""
+        """Append one (x, y) pair, dropping the oldest past the window."""
         self._x.append(float(dictated))
         self._y.append(float(estimated))
+        if len(self._x) > self.sample_size:
+            del self._x[0], self._y[0]
 
     @property
     def n_samples(self) -> int:
@@ -97,5 +105,5 @@ class BackoffHypothesisTest:
         """
         if not self.window_full:
             return TestDecision.NOT_ENOUGH_SAMPLES, None
-        result = rank_sum_test(list(self._x), list(self._y), self.alternative)
+        result = rank_sum_test(self._x, self._y, self.alternative)
         return self.decide(result), result

@@ -228,6 +228,8 @@ class ChannelViewBase:
     ledger is sorted and disjoint by construction.
     """
 
+    __slots__ = ("_busy_starts", "_busy_ends", "_own_starts", "_own_ends")
+
     def __init__(self) -> None:
         self._busy_starts: List[int] = []
         self._busy_ends: List[int] = []

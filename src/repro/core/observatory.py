@@ -130,6 +130,16 @@ class _ArmaFeed:
 class MonitorChannel(ChannelViewBase):
     """One monitor node's shared busy timeline and estimator feeds."""
 
+    __slots__ = (
+        "monitor_id",
+        "_arma_by_key",
+        "arma_feeds",
+        "_terminal_by_epoch",
+        "terminal_feeds",
+        "occupancy_detectors",
+        "subscribers",
+    )
+
     def __init__(self, monitor_id: int) -> None:
         ChannelViewBase.__init__(self)
         self.monitor_id = monitor_id
@@ -198,7 +208,8 @@ class ObservatorySubscription:
         #: ObservedTransmission of the tagged node (this sub's demux)
         self.observed: List[ObservedTransmission] = []
         #: id(transmission) of in-flight tagged tx decodable at start
-        self._decodable_keys: Set[int] = set()
+        #: (None while there is none)
+        self._decodable_keys: Optional[Set[int]] = None
         self._detector: Optional[BackoffMisbehaviorDetector] = None
 
     # -- the queries the detector makes ------------------------------------
@@ -585,7 +596,10 @@ class SharedChannelObservatory(SimulationListener):
             return
         for subscription in subs:
             if subscription.monitor_id in decodable_monitors:
-                subscription._decodable_keys.add(key)
+                keys = subscription._decodable_keys
+                if keys is None:
+                    keys = subscription._decodable_keys = set()
+                keys.add(key)
 
     def ingest_end(
         self,
@@ -643,9 +657,13 @@ class SharedChannelObservatory(SimulationListener):
         #: per-monitor-node fault resolution memo: (rts, impairment)
         delivered: Dict[int, Tuple[object, Optional[str]]] = {}
         for subscription in subs:
-            decodable = key in subscription._decodable_keys
-            if decodable:
-                subscription._decodable_keys.remove(key)
+            keys = subscription._decodable_keys
+            decodable = False
+            if keys is not None and key in keys:
+                decodable = True
+                keys.remove(key)
+                if not keys:
+                    subscription._decodable_keys = None
             rts = frame if decodable else None
             impairment = None
             if decodable and self.faults is not None:

@@ -39,6 +39,15 @@ EXACT_LIMIT = 25
 _SQRT2 = math.sqrt(2.0)
 
 
+def check_alternative(alternative: str) -> str:
+    """``alternative`` if it names a test direction; ValueError otherwise."""
+    if alternative not in ALTERNATIVES:
+        raise ValueError(
+            f"alternative must be one of {ALTERNATIVES}, got {alternative!r}"
+        )
+    return alternative
+
+
 def wilcoxon_ranks(values: Sequence[float]) -> List[float]:
     """Average ranks (1-based) of ``values``, ties sharing their mean rank."""
     order = sorted(range(len(values)), key=lambda i: values[i])
@@ -172,8 +181,7 @@ def rank_sum_test(
 
     Returns a :class:`RankSumResult`.
     """
-    if alternative not in ALTERNATIVES:
-        raise ValueError(f"alternative must be one of {ALTERNATIVES}")
+    check_alternative(alternative)
     x = list(x)
     y = list(y)
     if not x or not y:
@@ -228,8 +236,7 @@ def rank_sum_many(
     * tie-free small windows fall back to the shared memoized exact-null
       tables behind :func:`_exact_p`.
     """
-    if alternative not in ALTERNATIVES:
-        raise ValueError(f"alternative must be one of {ALTERNATIVES}")
+    check_alternative(alternative)
     if len(xs) != len(ys):
         raise ValueError("rank_sum_many requires as many x rows as y rows")
     batch = len(xs)

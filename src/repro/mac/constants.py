@@ -9,7 +9,8 @@ Figure 2) — and rounded *up* to whole slots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from repro.util.units import (
     DEFAULT_SLOT_TIME_US,
@@ -31,6 +32,12 @@ class MacTiming:
     The modified RTS of the paper is 38 bytes: the stock 20-byte RTS
     (frame control 2, duration 2, RA 6, TA 6, FCS 4) plus the 2-byte
     SeqOff#+Attempt# field and the 16-byte message digest of Figure 2.
+
+    Each ``*_slots`` value walks the microseconds-to-slots chain once
+    per instance and is cached in the instance ``__dict__``
+    (``functools.cached_property``), so hot paths read it directly.
+    The cache is not a field: ``==``, ``hash``, ``dataclasses.replace``
+    and pickling see only the fields above.
     """
 
     slot_time_us: Microseconds = DEFAULT_SLOT_TIME_US
@@ -68,27 +75,27 @@ class MacTiming:
     def _to_slots(self, us: Microseconds) -> Slots:
         return microseconds_to_slots(us, self.slot_time_us)
 
-    @property
+    @cached_property
     def sifs_slots(self) -> Slots:
         return self._to_slots(self.sifs_us)
 
-    @property
+    @cached_property
     def difs_slots(self) -> Slots:
         return self._to_slots(self.difs_us)
 
-    @property
+    @cached_property
     def rts_slots(self) -> Slots:
         return self._to_slots(self._frame_us(self.rts_bytes, self.basic_rate_bps))
 
-    @property
+    @cached_property
     def cts_slots(self) -> Slots:
         return self._to_slots(self._frame_us(self.cts_bytes, self.basic_rate_bps))
 
-    @property
+    @cached_property
     def ack_slots(self) -> Slots:
         return self._to_slots(self._frame_us(self.ack_bytes, self.basic_rate_bps))
 
-    @property
+    @cached_property
     def data_slots(self) -> Slots:
         return self._to_slots(
             self._frame_us(
@@ -98,7 +105,7 @@ class MacTiming:
 
     # -- exchange phases -----------------------------------------------------
 
-    @property
+    @cached_property
     def handshake_slots(self) -> Slots:
         """Phase 1 of an exchange: RTS + SIFS + CTS.
 
@@ -107,17 +114,17 @@ class MacTiming:
         """
         return self.rts_slots + self.sifs_slots + self.cts_slots
 
-    @property
+    @cached_property
     def payload_phase_slots(self) -> Slots:
         """Phase 2 of a successful exchange: SIFS + DATA + SIFS + ACK."""
         return self.sifs_slots + self.data_slots + self.sifs_slots + self.ack_slots
 
-    @property
+    @cached_property
     def exchange_slots(self) -> Slots:
         """Total busy period of a successful RTS/CTS/DATA/ACK exchange."""
         return self.handshake_slots + self.payload_phase_slots
 
-    @property
+    @cached_property
     def mean_service_slots(self) -> Slots:
         """Approximate MAC service time: one successful exchange plus the
         mean initial back-off and a DIFS.  Used to normalize offered load

@@ -74,6 +74,8 @@ class VerifiableBackoffPrng:
     then agrees everywhere.
     """
 
+    __slots__ = ("mac_address", "seed", "cw_min", "cw_max")
+
     def __init__(
         self,
         mac_address: MacAddress,

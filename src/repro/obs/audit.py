@@ -141,7 +141,10 @@ class JsonlLog(Generic[RecordT]):
     :meth:`fill` writes the record there later, so a log's order never
     depends on when its records were completed.  :meth:`record` is both
     at once, so every index a log hands out is claimed by ``reserve``.
+    Serve keeps two logs per tracked link, so the family is slotted.
     """
+
+    __slots__ = ("records",)
 
     #: the record class :meth:`from_jsonl` parses each line into
     record_type: Any = None
@@ -197,6 +200,8 @@ class JsonlLog(Generic[RecordT]):
 
 class DecisionAuditLog(JsonlLog[AuditRecord]):
     """The detector's :class:`AuditRecord` stream, with rule summaries."""
+
+    __slots__ = ()
 
     record_type = AuditRecord
 

@@ -121,6 +121,8 @@ class ProvenanceRecord:
 class ProvenanceLog(JsonlLog[ProvenanceRecord]):
     """The detector's :class:`ProvenanceRecord` stream, with lookups."""
 
+    __slots__ = ()
+
     record_type = ProvenanceRecord
 
     def find(self, verdict_id: str) -> ProvenanceRecord:

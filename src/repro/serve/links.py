@@ -56,6 +56,8 @@ class _EventTagged(JsonlLog[RecordT]):
     flush.
     """
 
+    __slots__ = ("_clock", "_attach_seq", "_outbox", "tags")
+
     def __init__(
         self,
         clock: EventClock,
@@ -79,9 +81,13 @@ class _EventTagged(JsonlLog[RecordT]):
 class TaggedAuditLog(_EventTagged[AuditRecord], DecisionAuditLog):
     """An audit log whose records carry their stream event index."""
 
+    __slots__ = ()
+
 
 class TaggedProvenanceLog(_EventTagged[ProvenanceRecord], ProvenanceLog):
     """A provenance log whose records carry their stream event index."""
+
+    __slots__ = ()
 
 
 class ObservationLedger:

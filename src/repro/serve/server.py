@@ -45,6 +45,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, TextIO, Tuple
 
 from repro.core.detector import BackoffMisbehaviorDetector, DetectorConfig
 from repro.core.observatory import BatchScheduler, SharedChannelObservatory
+from repro.core.ranksum import check_alternative
 from repro.core.records import BackoffObservation, Verdict
 from repro.mac.prng import splitmix64
 from repro.obs.audit import AuditRecord, DecisionAuditLog, jsonl_line
@@ -73,7 +74,7 @@ from repro.serve.records import (
     parse_line,
 )
 from repro.util.units import Slots
-from repro.util.validation import check_positive
+from repro.util.validation import check_positive, check_probability
 
 FINGERPRINT_SCHEMA = "repro.serve/fingerprint/v1"
 
@@ -116,6 +117,8 @@ class ServeConfig:
         if self.observation_retention is not None:
             check_positive(self.observation_retention, "observation_retention")
         check_positive(self.detector.sample_size, "sample_size")
+        check_probability(self.detector.alpha, "alpha")
+        check_alternative(self.detector.alternative)
         if self.maintain_every < 0:
             raise ValueError(
                 f"maintain_every must be >= 0, got {self.maintain_every}"

@@ -87,7 +87,9 @@ class SimulationEngine:
     macs:
         Mapping node id -> :class:`repro.mac.DcfMac`.
     timing:
-        The :class:`repro.mac.MacTiming` shared by all nodes.
+        The :class:`repro.mac.MacTiming` shared by all nodes.  Its slot
+        values are resolved once per instance, so the slot loop reads
+        them straight off ``self.timing``.
     traffic_sources:
         Mapping node id -> object with ``generator`` (a
         :class:`repro.traffic.TrafficGenerator`) and
@@ -114,12 +116,6 @@ class SimulationEngine:
         self.medium = medium
         self.macs: Dict[int, "DcfMac"] = dict(macs)
         self.timing = timing
-        # The slot conversions behind these MacTiming properties walk a
-        # microseconds-to-slots chain on every access; resolve them once
-        # — they are read in the hottest paths of the slot loop.
-        self._handshake_slots = timing.handshake_slots
-        self._exchange_slots = timing.exchange_slots
-        self._difs_slots = timing.difs_slots
         self.traffic: Dict[int, Any] = dict(traffic_sources or {})
         self.mobility = mobility
         self.epoch_slots = max(
@@ -279,7 +275,7 @@ class SimulationEngine:
             # CTS received: extend the busy period through DATA + ACK
             # (via the medium so its handshake index stays current).
             self.medium.extend_transmission(
-                tx_id, tx.start_slot + self._exchange_slots, kind="exchange"
+                tx_id, tx.start_slot + self.timing.exchange_slots, kind="exchange"
             )
             self.schedule(tx.end_slot, EventKind.TRANSMISSION_PHASE, tx_id)
             return set()
@@ -330,7 +326,7 @@ class SimulationEngine:
             sender=node_id,
             receiver=receiver,
             start_slot=slot,
-            end_slot=slot + self._handshake_slots,
+            end_slot=slot + self.timing.handshake_slots,
             kind="handshake",
             frame=rts,
             corrupted=corrupted,
@@ -373,7 +369,7 @@ class SimulationEngine:
         # the pass threads — is consumed in that same order.
         macs = self.macs
         senses_busy = self.medium.senses_busy
-        resume_anchor = slot + self._difs_slots
+        resume_anchor = slot + self.timing.difs_slots
         for node_id in sorted(affected):
             mac = macs.get(node_id)
             if mac is None or mac.transmitting:

@@ -45,7 +45,13 @@ def overrides_hook(listener: object, name: str) -> bool:
 
 
 class SimulationListener:
-    """Base class: override the callbacks you need."""
+    """Base class: override the callbacks you need.
+
+    Its ``__slots__`` is empty, so a subclass that declares its own
+    ``__slots__`` (the per-link detector) carries no instance dict.
+    """
+
+    __slots__ = ()
 
     def on_transmission_start(
         self, slot: Slots, transmission: "Transmission", medium: "Medium"

@@ -88,3 +88,8 @@ class TestValidation:
     def test_invalid_sample_size_rejected(self):
         with pytest.raises(ValueError):
             BackoffHypothesisTest(sample_size=0)
+
+    def test_unknown_alternative_rejected(self):
+        # Checked at construction, not when the first window is ranked.
+        with pytest.raises(ValueError, match="alternative"):
+            BackoffHypothesisTest(sample_size=5, alternative="bogus")

@@ -25,6 +25,7 @@ from repro.core.detector import (
 from repro.core.handoff import MonitorHandoff
 from repro.core.observation import ChannelObserver, joint_state_counts
 from repro.core.observatory import SharedChannelObservatory
+from repro.core.ranksum import rank_sum_test
 from repro.experiments.runner import collect_detection_samples
 from repro.experiments.scenarios import (
     GridScenario,
@@ -33,15 +34,20 @@ from repro.experiments.scenarios import (
 )
 from repro.mac.misbehavior import PercentageMisbehavior
 from repro.obs.audit import DecisionAuditLog
+from repro.obs.provenance import ProvenanceLog
 from repro.obs.registry import MetricsRegistry
 from repro.phy.channel import Channel
 from repro.phy.medium import Medium, Transmission
-from repro.serve.capture import capture_scenario
+from repro.serve.capture import capture_scenario, synthetic_stream
 from repro.serve.server import ServeConfig, ServeSession
 from repro.sim.listeners import SimulationListener
 from repro.traffic import queue as traffic_queue
 
 CONFIG = DetectorConfig(sample_size=25, known_n=5, known_k=5)
+#: synthetic serve links form a sample on every exchange after the first
+SMALL_WINDOW = DetectorConfig(
+    sample_size=5, known_n=5, known_k=5, warmup_slots=0
+)
 
 
 def _fresh_run_state():
@@ -383,3 +389,86 @@ class TestRegionModelCache:
         assert one.state_estimator.region_model is (
             two.state_estimator.region_model
         )
+
+
+class TestPerLinkLayout:
+    """What one tracked link holds: slotted objects, shared helpers and
+    windows that grow with the samples the link forms."""
+
+    def test_same_config_detectors_share_stateless_helpers(self):
+        _, observatory = _toy_plane()
+        one = observatory.attach(1, 0, config=CONFIG)
+        two = observatory.attach(2, 0, config=CONFIG)
+        # Different monitors: separate channels and terminal estimators...
+        assert one.terminal_estimator is not two.terminal_estimator
+        # ...but the config-derived, stateless parts are shared.
+        assert one.countdown_verifier is two.countdown_verifier
+        assert one.state_estimator is two.state_estimator
+        assert one.density_estimator is two.density_estimator
+        assert one.terminal_estimator.model is two.terminal_estimator.model
+
+    def test_per_link_objects_have_no_instance_dict(self):
+        session = ServeSession(ServeConfig(detector=SMALL_WINDOW))
+        session.run(synthetic_stream(2, 3))
+        states = session.table.states()
+        assert len(states) == 2
+        for state in states:
+            detector = state.detector
+            held = [
+                detector,
+                detector.test,
+                detector.arma,
+                detector.prng,
+                detector.seq_verifier,
+                detector.attempt_verifier,
+                detector.countdown_verifier,
+                detector.terminal_estimator,
+                state.subscription,
+                state.subscription.channel,
+                state.audit,
+                state.provenance,
+            ]
+            for item in held:
+                assert not hasattr(item, "__dict__"), type(item).__name__
+
+    def test_windows_hold_only_the_newest_samples(self):
+        size = SMALL_WINDOW.sample_size
+        _, observatory = _toy_plane()
+        fresh = observatory.attach(1, 0, config=SMALL_WINDOW)
+        assert fresh.test.window_snapshot() == ([], [])
+        assert fresh._window_meta == []
+        # One anchor exchange, then size + 3 samples on one link.
+        session = ServeSession(ServeConfig(detector=SMALL_WINDOW))
+        session.run(synthetic_stream(1, size + 4))
+        (state,) = session.table.states()
+        detector = state.detector
+        assert len(detector.observations) == size + 3
+        x, y = detector.test.window_snapshot()
+        meta = detector._window_meta
+        assert len(x) == len(y) == len(meta) == size
+        # The provenance bookkeeping moves in lockstep with the window.
+        assert [m[0] for m in meta] == list(range(3, size + 3))
+        assert [m[2] for m in meta] == x
+        assert [m[3] for m in meta] == y
+
+    def test_small_window_provenance_reranks_exactly(self):
+        _fresh_run_state()
+        provenance = ProvenanceLog()
+        collect_detection_samples(
+            GridScenario(seed=5),
+            60,
+            detector_config=SMALL_WINDOW,
+            target_samples=60,
+            max_duration_s=20.0,
+            provenance=provenance,
+        )
+        windows = [r for r in provenance.records if r.rule == "rank_sum"]
+        assert len(windows) >= 10
+        for record in windows:
+            assert len(record.dictated) == SMALL_WINDOW.sample_size
+            assert len(record.estimated) == SMALL_WINDOW.sample_size
+            result = rank_sum_test(
+                record.dictated, record.estimated, SMALL_WINDOW.alternative
+            )
+            assert result.p_value == record.p_value
+            assert result.statistic == record.statistic

@@ -267,6 +267,35 @@ def test_config_rejects_empty_stores(config):
         ServeConfig(**config)
 
 
+@pytest.mark.parametrize(
+    "detector",
+    [DetectorConfig(alpha=1.5), DetectorConfig(alternative="lesser")],
+    ids=["alpha", "alternative"],
+)
+def test_config_rejects_bad_rank_sum_settings(detector):
+    """A bad alpha or test direction fails when the config is built."""
+    with pytest.raises(ValueError):
+        ServeConfig(detector=detector)
+
+
+def test_bad_alternative_fails_before_the_first_line():
+    """Not at the first flush, with the source already half read."""
+    lines = list(synthetic_stream(3, 40))
+    pulled = []
+
+    def source():
+        for line in lines:
+            pulled.append(line)
+            yield line
+
+    detector = DetectorConfig(
+        sample_size=5, known_n=5, known_k=5, warmup_slots=0, alternative="bogus"
+    )
+    with pytest.raises(ValueError, match="alternative"):
+        ServeSession(ServeConfig(detector=detector)).run(source())
+    assert pulled == []
+
+
 class TestFuzzTotality:
     @settings(max_examples=200, deadline=None)
     @given(line=st.text(max_size=200))
