@@ -162,7 +162,7 @@ def _run_backend(backend, pairs, separation, channel, positions, events):
             end_hooks = [observatory.on_transmission_end]
         elapsed = _replay(events, channel, positions, start_hooks, end_hooks)
         best = min(best, elapsed)
-        demuxed = sum(len(d.observer.observed) for d in detectors)
+        demuxed = sum(len(d.observed) for d in detectors)
         fingerprint = _fingerprint(detectors, audit, metrics)
     return best, demuxed, fingerprint
 

@@ -33,11 +33,7 @@ from repro.core.observation import (
     ObservedTransmission,
     joint_state_counts,
 )
-from repro.core.observatory import (
-    MonitorChannel,
-    ObservatorySubscription,
-    SharedChannelObservatory,
-)
+from repro.core.observatory import MonitorChannel, SharedChannelObservatory
 from repro.core.ranksum import RankSumResult, rank_sum_test, wilcoxon_ranks
 from repro.core.records import BackoffObservation, Verdict
 from repro.core.sysstate import SystemStateEstimator, SystemStateProbabilities
@@ -57,7 +53,6 @@ __all__ = [
     "MonitorChannel",
     "MonitorHandoff",
     "NodeDensityEstimator",
-    "ObservatorySubscription",
     "ObservedTransmission",
     "RankSumResult",
     "SharedChannelObservatory",

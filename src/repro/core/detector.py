@@ -41,7 +41,8 @@ from repro.core.deterministic import (
     UnambiguousCountdownVerifier,
 )
 from repro.core.hypothesis import BackoffHypothesisTest, TestDecision
-from repro.core.observation import ChannelObserver
+from repro.core.observation import ChannelObserver, ChannelViewBase
+from repro.core.ranksum import check_alternative
 from repro.core.records import BackoffObservation, Diagnosis, Verdict
 from repro.core.sysstate import SystemStateEstimator
 from repro.geometry.regions import RegionModel
@@ -55,12 +56,17 @@ from repro.obs.trace import PID_DETECTION, active_tracer
 from repro.sim.listeners import SimulationListener
 from repro.util.caches import register_cache_reset
 from repro.util.units import Slots
+from repro.util.validation import (
+    check_in_range,
+    check_non_negative,
+    check_positive,
+    check_probability,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import-time only
     from repro.core.deterministic import DeterministicViolation
     from repro.core.observation import ObservedTransmission
-    from repro.core.observatory import BatchScheduler, ObservatorySubscription
-    from repro.core.observatory import _ArmaFeed
+    from repro.core.observatory import BatchScheduler, _ArmaFeed
     from repro.core.ranksum import RankSumResult
     from repro.core.records import Verdict as _Verdict
     from repro.mac.constants import MacTiming
@@ -191,6 +197,19 @@ class DetectorConfig:
     #: checks still run on every attempt.
     max_test_attempt: int = 3
 
+    def __post_init__(self) -> None:
+        # Checked here, not at the first attach or estimate: a serve
+        # session would otherwise fail mid-stream with its source open.
+        check_positive(self.sample_size, "sample_size")
+        check_probability(self.alpha, "alpha")
+        check_alternative(self.alternative)
+        check_in_range(self.arma_alpha, 0.0, 1.0, "arma_alpha")
+        check_positive(self.arma_interval_slots, "arma_interval_slots")
+        if self.known_n is not None:
+            check_non_negative(self.known_n, "known_n")
+        if self.known_k is not None:
+            check_non_negative(self.known_k, "known_k")
+
 
 def ranked_pair(
     config: DetectorConfig, timing: "MacTiming", observation: BackoffObservation
@@ -235,6 +254,16 @@ class BackoffMisbehaviorDetector(SimulationListener):
     A serve session holds one detector per tracked link, so the class
     is slotted and the config-derived, stateless parts (region-model
     estimators, countdown verifier) are shared, not built per link.
+
+    Built without ``feed``, the detector owns a private
+    :class:`ChannelObserver` and its own ARMA and competing-terminal
+    estimators, and is registered as an engine listener.  ``feed`` (only
+    :meth:`SharedChannelObservatory.attach
+    <repro.core.observatory.SharedChannelObservatory.attach>` passes
+    one) subscribes it instead: the detector reads its channel view
+    (the monitor node's shared ``MonitorChannel``), both estimators and
+    the observatory's fault schedule from the feed, and the observatory
+    appends to its ``observed`` demux.
     """
 
     __slots__ = (
@@ -245,8 +274,8 @@ class BackoffMisbehaviorDetector(SimulationListener):
         "audit",
         "provenance",
         "metrics",
-        "_subscribed",
         "observer",
+        "observed",
         "prng",
         "state_estimator",
         "arma",
@@ -282,7 +311,7 @@ class BackoffMisbehaviorDetector(SimulationListener):
         separation: Optional[float] = None,
         audit: Optional[DecisionAuditLog] = None,
         metrics: "Optional[MetricsRegistry]" = None,
-        observer: "Optional[ObservatorySubscription]" = None,
+        feed: "Optional[_ArmaFeed]" = None,
         provenance: Optional[ProvenanceLog] = None,
     ) -> None:
         self.config = config if config is not None else DetectorConfig()
@@ -301,15 +330,25 @@ class BackoffMisbehaviorDetector(SimulationListener):
         self.metrics = metrics
 
         cfg = self.config
-        #: True when the observer is an observatory subscription — the
-        #: SharedChannelObservatory then drives all channel accounting
-        #: and this detector must NOT be registered as an engine
-        #: listener (it would double-count every transmission).
-        self._subscribed = observer is not None
-        if observer is None:
-            self.observer = ChannelObserver(monitor_id, tagged_id)
+        #: the channel view the detector queries; a subscribed detector
+        #: must NOT be registered as an engine listener (it would
+        #: double-count every transmission)
+        self.observer: ChannelViewBase
+        #: the tagged node's ObservedTransmissions (this detector's demux)
+        self.observed: List["ObservedTransmission"]
+        if feed is None:
+            observer = ChannelObserver(monitor_id, tagged_id)
+            self.observer, self.observed = observer, observer.observed
+            self.arma = ArmaTrafficEstimator(
+                cfg.arma_alpha, cfg.arma_interval_slots
+            )
+            self.terminal_estimator = CompetingTerminalEstimator()
+            faults = observer.faults
         else:
-            self.observer = observer
+            self.observer, self.observed = feed.channel, []
+            self.arma = feed.arma
+            self.terminal_estimator = feed.terminal
+            faults = feed.observatory.faults
         self.prng = VerifiableBackoffPrng(
             tagged_id, cw_min=self.timing.cw_min, cw_max=self.timing.cw_max
         )
@@ -322,10 +361,6 @@ class BackoffMisbehaviorDetector(SimulationListener):
         self.state_estimator, self.density_estimator = region_estimators(
             region_model
         )
-        self.arma = ArmaTrafficEstimator(
-            cfg.arma_alpha, cfg.arma_interval_slots
-        )
-        self.terminal_estimator = CompetingTerminalEstimator()
         self.test = BackoffHypothesisTest(
             cfg.sample_size, cfg.alpha, cfg.alternative
         )
@@ -340,7 +375,7 @@ class BackoffMisbehaviorDetector(SimulationListener):
         #: streams byte-identical to pre-fault-injection versions, faulted
         #: runs get a reason code per quarantined observation.
         self.quarantine_counts: Dict[str, int] = {}
-        self._quarantine_audit = getattr(self.observer, "faults", None) is not None
+        self._quarantine_audit = faults is not None
         #: accepted BackoffObservation samples
         self.observations: List[BackoffObservation] = []
         self.skipped_samples = 0
@@ -348,7 +383,7 @@ class BackoffMisbehaviorDetector(SimulationListener):
         #: DeterministicViolation records
         self.violations: List["DeterministicViolation"] = []
         self._arma_cursor = 0
-        self._processed = 0          # observer.observed entries consumed
+        self._processed = 0          # observed entries consumed
         #: (observation index, slot, ranked x, ranked y) of the samples
         #: currently inside the statistical window — trimmed in lockstep
         #: with the hypothesis test's window lists so a verdict's
@@ -364,7 +399,7 @@ class BackoffMisbehaviorDetector(SimulationListener):
         self._occupancy_samples = 0
         #: the observatory's shared ARMA feed (None on a private
         #: observer, which folds per event in _advance_arma)
-        self._arma_feed: Optional["_ArmaFeed"] = None
+        self._arma_feed = feed
         #: when set (the streaming service wires its session scheduler
         #: here), ready windows are deferred to it instead of ranked at
         #: ingest
@@ -372,27 +407,26 @@ class BackoffMisbehaviorDetector(SimulationListener):
 
     # -- listener plumbing -------------------------------------------------
 
-    def on_transmission_start(
-        self, slot: Slots, transmission: "Transmission", medium: "Medium"
-    ) -> None:
-        if self._subscribed:
+    def _private_observer(self) -> ChannelObserver:
+        """The listener-path observer; a subscribed detector has none."""
+        observer = self.observer
+        if not isinstance(observer, ChannelObserver):
             raise RuntimeError(
                 "detector is observatory-subscribed; do not register it "
                 "as an engine listener"
             )
-        self.observer.on_transmission_start(slot, transmission, medium)
+        return observer
+
+    def on_transmission_start(
+        self, slot: Slots, transmission: "Transmission", medium: "Medium"
+    ) -> None:
+        self._private_observer().on_transmission_start(slot, transmission, medium)
 
     def on_positions_updated(
         self,
         slot: Slots,
         positions: Dict[int, Tuple[float, float]],
         medium: "Medium",
-    ) -> None:
-        self.observer.on_positions_updated(slot, positions, medium)
-        self._refresh_geometry(positions)
-
-    def _refresh_geometry(
-        self, positions: Dict[int, Tuple[float, float]]
     ) -> None:
         """Track the monitor-sender separation under mobility.
 
@@ -433,15 +467,11 @@ class BackoffMisbehaviorDetector(SimulationListener):
         success: bool,
         medium: "Medium",
     ) -> None:
-        if self._subscribed:
-            raise RuntimeError(
-                "detector is observatory-subscribed; do not register it "
-                "as an engine listener"
-            )
+        observer = self._private_observer()
         if self._birth_slot is None:
             self._birth_slot = transmission.start_slot
             self._arma_cursor = transmission.start_slot
-        self.observer.on_transmission_end(slot, transmission, success, medium)
+        observer.on_transmission_end(slot, transmission, success, medium)
         sender = transmission.sender
         if sender != self.monitor_id and medium.senses(sender, self.monitor_id):
             # Every sensed attempt feeds the collision-probability
@@ -512,7 +542,7 @@ class BackoffMisbehaviorDetector(SimulationListener):
     # -- the main sample pipeline -------------------------------------------
 
     def _process_new_observations(self, medium: "Medium") -> None:
-        observed = self.observer.observed
+        observed = self.observed
         while self._processed < len(observed):
             index = self._processed
             self._processed += 1

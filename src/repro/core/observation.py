@@ -358,21 +358,14 @@ class ChannelObserver(ChannelViewBase, SimulationListener):
         The neighbor being monitored (the paper's "tagged node").
     """
 
-    def __init__(
-        self,
-        monitor_id: int,
-        tagged_id: int,
-        faults: "Optional[FaultSchedule]" = None,
-    ) -> None:
+    def __init__(self, monitor_id: int, tagged_id: int) -> None:
+        from repro.faults.runtime import active_schedule
+
         ChannelViewBase.__init__(self)
         self.monitor_id = monitor_id
         self.tagged_id = tagged_id
-        if faults is None:
-            from repro.faults.runtime import active_schedule
-
-            faults = active_schedule()
         #: injected link faults (None = clean channel, the default)
-        self.faults = faults
+        self.faults: "Optional[FaultSchedule]" = active_schedule()
         #: largest end slot of any transmission seen
         self.last_slot = 0
         # In-flight transmissions we flagged as sensed at their start.

@@ -18,13 +18,14 @@ ingests each transmission **once** and fans the result out cheaply:
   monitor node, shared by every detector observing from that node;
 * per-channel *feeds* — the ARMA traffic estimator, folded from the
   channel's timeline when rho is read, and the Bianchi competing-
-  terminal estimator — are shared by every same-configuration detector
-  on the channel;
+  terminal estimator — are built once per (attach epoch, config) and
+  shared by every detector attached to the channel with that key;
 * each event touches only the channels it involves, so the per-event
   cost does not grow with the number of idle channels;
-* detectors subscribe via :class:`ObservatorySubscription` — a
-  read-only view answering the detector's channel queries plus a
-  private ``ObservedTransmission`` demux of their tagged node.
+* a subscribed detector queries its :class:`MonitorChannel` directly
+  and owns its ``observed`` list, the ``ObservedTransmission`` demux
+  of its tagged node; the observatory keeps the subscribed detectors
+  per tagged node and appends to those lists.
 
 Equivalence contract: for detectors attached *before* the run starts
 (or on a fresh private channel mid-run, as the mobility hand-off does),
@@ -40,16 +41,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Set, Tuple
 
+from repro.core.arma import ArmaTrafficEstimator
+from repro.core.bianchi import CompetingTerminalEstimator
 from repro.core.detector import BackoffMisbehaviorDetector, DetectorConfig
 from repro.core.observation import ChannelViewBase, ObservedTransmission
 from repro.core.ranksum import rank_sum_many, rank_sum_test
+from repro.mac.constants import DEFAULT_TIMING
 from repro.obs.trace import PID_ENGINE, active_tracer
 from repro.sim.listeners import SimulationListener
 from repro.util.units import Slots
 
 if TYPE_CHECKING:  # pragma: no cover - import-time only
-    from repro.core.arma import ArmaTrafficEstimator
-    from repro.core.bianchi import CompetingTerminalEstimator
     from repro.core.detector import _Publication
     from repro.faults.schedule import FaultSchedule
     from repro.mac.constants import MacTiming
@@ -65,46 +67,49 @@ _ArmaKey = Tuple[int, float, int, int]
 
 
 class _ArmaFeed:
-    """One shared ARMA fold over a :class:`MonitorChannel`'s timeline.
+    """The shared estimators of one (attach epoch, config) on a channel.
 
-    Mirrors ``BackoffMisbehaviorDetector._advance_arma``: the cursor
-    starts at the birth slot — the tx start slot of the first end event
-    after the feed was created, which also fixes the subscribed
-    detectors' birth slot — and only slots older than one full exchange
-    before the observatory's present are folded.  The fold is
-    chunking-invariant (:meth:`ArmaTrafficEstimator.fold`), so settling
-    on read gives the rho that folding at every end event would.  Every
-    detector whose (arma_alpha, arma_interval_slots, exchange_slots,
-    attach epoch) matches shares this feed's estimator instance.
+    The observatory builds a feed, with its ``ArmaTrafficEstimator``
+    and ``CompetingTerminalEstimator``, before the first detector that
+    needs it, and every detector attached to the channel with the same
+    key reads both from it.  The ARMA fold mirrors
+    ``BackoffMisbehaviorDetector._advance_arma``: the cursor starts at
+    the birth slot — the tx start slot of the first end event after the
+    feed was created, which also fixes the subscribed detectors' birth
+    slot — and only slots older than one full exchange before the
+    observatory's present are folded.  The fold is chunking-invariant
+    (:meth:`ArmaTrafficEstimator.fold`), so settling on read gives the
+    rho that folding at every end event would.
     """
 
     __slots__ = (
         "key",
         "arma",
+        "terminal",
         "exchange_slots",
         "cursor",
         "birth_slot",
         "detectors",
         "channel",
-        "_observatory",
+        "observatory",
     )
 
     def __init__(
         self,
         key: _ArmaKey,
-        arma: "ArmaTrafficEstimator",
-        exchange_slots: int,
         channel: "MonitorChannel",
         observatory: "SharedChannelObservatory",
     ) -> None:
+        _epoch, arma_alpha, arma_interval_slots, exchange_slots = key
         self.key = key
-        self.arma = arma
+        self.arma = ArmaTrafficEstimator(arma_alpha, arma_interval_slots)
+        self.terminal = CompetingTerminalEstimator()
         self.exchange_slots = exchange_slots
         self.cursor = 0
         self.birth_slot: Optional[int] = None
         self.detectors: List[BackoffMisbehaviorDetector] = []
         self.channel = channel
-        self._observatory = observatory
+        self.observatory = observatory
 
     def set_birth(self, birth_slot: Slots) -> None:
         """Fix the birth slot (and the fold cursor) of the feed."""
@@ -121,35 +126,30 @@ class _ArmaFeed:
         """
         if self.birth_slot is None or self.channel.subscribers <= 0:
             return
-        target = self._observatory.present_slot - self.exchange_slots
+        target = self.observatory.present_slot - self.exchange_slots
         if target > self.cursor:
             self.arma.fold(self.channel, self.cursor, target)
             self.cursor = target
 
 
 class MonitorChannel(ChannelViewBase):
-    """One monitor node's shared busy timeline and estimator feeds."""
+    """One monitor node's shared busy timeline and estimator feeds.
 
-    __slots__ = (
-        "monitor_id",
-        "_arma_by_key",
-        "arma_feeds",
-        "_terminal_by_epoch",
-        "terminal_feeds",
-        "occupancy_detectors",
-        "subscribers",
-    )
+    It is the channel view every detector subscribed from this node
+    queries.  ``feeds`` maps each (attach epoch, arma_alpha,
+    arma_interval_slots, exchange_slots) key to its :class:`_ArmaFeed`,
+    in creation order.
+    """
+
+    __slots__ = ("monitor_id", "feeds", "occupancy_detectors", "subscribers")
 
     def __init__(self, monitor_id: int) -> None:
         ChannelViewBase.__init__(self)
         self.monitor_id = monitor_id
-        self._arma_by_key: Dict[_ArmaKey, _ArmaFeed] = {}
-        self.arma_feeds: List[_ArmaFeed] = []
-        self._terminal_by_epoch: Dict[int, "CompetingTerminalEstimator"] = {}
-        self.terminal_feeds: List["CompetingTerminalEstimator"] = []
+        self.feeds: Dict[_ArmaKey, _ArmaFeed] = {}
         #: detectors with occupancy correction enabled (per-tagged EWMA)
         self.occupancy_detectors: List[BackoffMisbehaviorDetector] = []
-        #: live subscriptions reading this channel
+        #: live subscribed detectors reading this channel
         self.subscribers = 0
 
     def add_transmission(
@@ -166,73 +166,13 @@ class MonitorChannel(ChannelViewBase):
         """Feed one foreign attempt this node sensed at its end."""
         # Every sensed attempt feeds the shared collision-probability
         # estimate behind the density inversion.
-        for terminal in self.terminal_feeds:
-            terminal.record_attempt(collided=collided)
+        for feed in self.feeds.values():
+            feed.terminal.record_attempt(collided=collided)
         for detector in self.occupancy_detectors:
             if sender != detector.tagged_id:
                 detector._record_occupancy(
                     invisible=detector.tagged_id not in sensors
                 )
-
-
-class ObservatorySubscription:
-    """A detector's read-only view of one shared channel.
-
-    The detector's queries delegate to the shared :class:`MonitorChannel`
-    (``channel``); the ``observed`` demux (and the decodable flags
-    captured at transmission start) are private to this (monitor,
-    tagged) subscription.
-    """
-
-    __slots__ = (
-        "channel",
-        "monitor_id",
-        "tagged_id",
-        "observed",
-        "_observatory",
-        "_decodable_keys",
-        "_detector",
-    )
-
-    def __init__(
-        self,
-        observatory: "SharedChannelObservatory",
-        channel: MonitorChannel,
-        monitor_id: int,
-        tagged_id: int,
-    ) -> None:
-        self._observatory = observatory
-        self.channel = channel
-        self.monitor_id = monitor_id
-        self.tagged_id = tagged_id
-        #: ObservedTransmission of the tagged node (this sub's demux)
-        self.observed: List[ObservedTransmission] = []
-        #: id(transmission) of in-flight tagged tx decodable at start
-        #: (None while there is none)
-        self._decodable_keys: Optional[Set[int]] = None
-        self._detector: Optional[BackoffMisbehaviorDetector] = None
-
-    # -- the queries the detector makes ------------------------------------
-
-    def idle_busy_counts(self, start: Slots, end: Slots) -> Tuple[int, int]:
-        return self.channel.idle_busy_counts(start, end)
-
-    def own_tx_slots_in(self, start: Slots, end: Slots) -> int:
-        return self.channel.own_tx_slots_in(start, end)
-
-    @property
-    def faults(self) -> "Optional[FaultSchedule]":
-        """The observatory's injected fault schedule (None = clean)."""
-        return self._observatory.faults
-
-    @property
-    def last_slot(self) -> int:
-        return self._observatory.last_slot
-
-    def on_positions_updated(
-        self, slot: Slots, positions: Dict[int, Position], medium: "Medium"
-    ) -> None:
-        """No-op: the shared channel needs no per-epoch work."""
 
 
 @dataclass
@@ -310,17 +250,15 @@ class BatchScheduler:
 class SharedChannelObservatory(SimulationListener):
     """The single engine listener behind every subscribed detector."""
 
-    def __init__(self, faults: "Optional[FaultSchedule]" = None) -> None:
-        if faults is None:
-            from repro.faults.runtime import active_schedule
+    def __init__(self) -> None:
+        from repro.faults.runtime import active_schedule
 
-            faults = active_schedule()
         #: injected link faults (None = clean channel, the default);
         #: applied per monitor *node*, identically to a private
         #: ChannelObserver on that node (the draws are pure hashes of
         #: (monitor, sender, start slot), so the equivalence contract
         #: holds under faults too).
-        self.faults = faults
+        self.faults: "Optional[FaultSchedule]" = active_schedule()
         #: monitor id -> shared channel (fresh channels live only in the list)
         self._channels: Dict[int, MonitorChannel] = {}
         #: every live channel, shared and fresh, in creation order
@@ -329,23 +267,24 @@ class SharedChannelObservatory(SimulationListener):
         self._monitor_index: Dict[int, List[MonitorChannel]] = {}
         #: channels that sensed each in-flight key at its start
         self._sensed_by_key: Dict[int, List[MonitorChannel]] = {}
+        #: subscribed detectors whose monitor decoded each in-flight key
+        #: at its start (keys nobody decoded have no entry)
+        self._decodable_by_key: Dict[int, List[BackoffMisbehaviorDetector]] = {}
         #: end events ingested; feeds are keyed by the value at attach
         #: time so only detectors that joined at the same point in the
         #: stream share state
         self.events_ingested = 0
-        #: largest end slot ingested (every subscription's last_slot)
+        #: largest end slot ingested
         self.last_slot: Slots = 0
         #: latest end-event dispatch slot; feeds fold up to one exchange
         #: before it
         self.present_slot: Slots = 0
         #: feeds whose birth slot the next end event fixes
         self._unborn: List[_ArmaFeed] = []
-        #: tagged id -> subscriptions, in attach order (= audit order)
-        self._subs_by_tagged: Dict[int, List[ObservatorySubscription]] = {}
+        #: tagged id -> subscribed detectors, in attach order (= audit order)
+        self._detectors_by_tagged: Dict[int, List[BackoffMisbehaviorDetector]] = {}
         #: units receiving position epochs (detectors, hand-off managers)
         self._position_units: List[SimulationListener] = []
-        #: live detectors in attach order
-        self.detectors: List[BackoffMisbehaviorDetector] = []
         #: the process tracer when tracing is on (ingest/demux instants)
         self._tracer = active_tracer()
 
@@ -366,7 +305,9 @@ class SharedChannelObservatory(SimulationListener):
     ) -> BackoffMisbehaviorDetector:
         """Create a detector subscribed to this observatory.
 
-        ``fresh_channel=True`` gives the detector a private, empty
+        The detector reads the channel's feed for its (attach epoch,
+        config) key, which is built here when it is the first to need
+        it.  ``fresh_channel=True`` gives the detector a private, empty
         channel instead of the monitor node's shared one — required for
         byte-identity when attaching mid-run (a hand-off replacement
         must not inherit busy history its own observer never saw).
@@ -374,6 +315,7 @@ class SharedChannelObservatory(SimulationListener):
         hand-off manager forwards positions itself).
         """
         cfg = config if config is not None else DetectorConfig()
+        timing = timing if timing is not None else DEFAULT_TIMING
         channel = self._channels.get(monitor_id) if not fresh_channel else None
         if channel is None:
             channel = MonitorChannel(monitor_id)
@@ -381,9 +323,16 @@ class SharedChannelObservatory(SimulationListener):
             self._monitor_index.setdefault(monitor_id, []).append(channel)
             if not fresh_channel:
                 self._channels[monitor_id] = channel
-        subscription = ObservatorySubscription(
-            self, channel, monitor_id, tagged_id
+        key: _ArmaKey = (
+            self.events_ingested,
+            cfg.arma_alpha,
+            cfg.arma_interval_slots,
+            timing.exchange_slots,
         )
+        feed = channel.feeds.get(key)
+        if feed is None:
+            feed = channel.feeds[key] = _ArmaFeed(key, channel, self)
+            self._unborn.append(feed)
         detector = BackoffMisbehaviorDetector(
             monitor_id,
             tagged_id,
@@ -392,106 +341,61 @@ class SharedChannelObservatory(SimulationListener):
             separation=separation,
             audit=audit,
             metrics=metrics,
-            observer=subscription,
+            feed=feed,
             provenance=provenance,
         )
-        subscription._detector = detector
+        feed.detectors.append(detector)
         channel.subscribers += 1
-        self._share_feeds(channel, detector)
-        self._subs_by_tagged.setdefault(tagged_id, []).append(subscription)
-        self.detectors.append(detector)
+        if cfg.occupancy_correction:
+            channel.occupancy_detectors.append(detector)
+        self._detectors_by_tagged.setdefault(tagged_id, []).append(detector)
         if position_unit:
             self._position_units.append(detector)
         return detector
 
-    def _share_feeds(
-        self, channel: MonitorChannel, detector: BackoffMisbehaviorDetector
-    ) -> None:
-        """Point the detector at the channel's shared estimator feeds."""
-        epoch = self.events_ingested
-        cfg = detector.config
-        key: _ArmaKey = (
-            epoch,
-            cfg.arma_alpha,
-            cfg.arma_interval_slots,
-            detector.timing.exchange_slots,
-        )
-        feed = channel._arma_by_key.get(key)
-        if feed is None:
-            feed = _ArmaFeed(
-                key, detector.arma, detector.timing.exchange_slots, channel, self
-            )
-            channel._arma_by_key[key] = feed
-            channel.arma_feeds.append(feed)
-            self._unborn.append(feed)
-        else:
-            detector.arma = feed.arma
-        feed.detectors.append(detector)
-        detector._arma_feed = feed
-        terminal = channel._terminal_by_epoch.get(epoch)
-        if terminal is None:
-            channel._terminal_by_epoch[epoch] = detector.terminal_estimator
-            channel.terminal_feeds.append(detector.terminal_estimator)
-        else:
-            detector.terminal_estimator = terminal
-        if cfg.occupancy_correction:
-            channel.occupancy_detectors.append(detector)
-
     def detach(self, detector: BackoffMisbehaviorDetector) -> None:
         """Unsubscribe a detector; its recorded state freezes.
 
-        Drops the demux, feed and position registrations.  A feed, or a
-        terminal estimator, that no remaining detector holds leaves the
-        channel, so evictions cannot grow a live channel's per-event
-        work.  If the channel has no remaining subscribers it stops
-        updating entirely (like a retired private observer).
+        Drops the detector from its tagged node's list (and the list once
+        empty), its feed, and the position and occupancy registrations.
+        A feed no remaining detector holds leaves the channel, so
+        evictions cannot grow a live channel's per-event work.  If the
+        channel has no remaining subscribers it stops updating entirely
+        (like a retired private observer).
         """
-        subscription = detector.observer
-        if not isinstance(subscription, ObservatorySubscription):
+        feed = detector._arma_feed
+        if feed is None:
             raise ValueError("detector is not observatory-subscribed")
-        channel = subscription.channel
-        subs = self._subs_by_tagged.get(subscription.tagged_id, [])
-        if subscription in subs:
-            subs.remove(subscription)
-        if detector in self.detectors:
-            self.detectors.remove(detector)
+        channel = feed.channel
+        siblings = self._detectors_by_tagged.get(detector.tagged_id, [])
+        if detector in siblings:
+            siblings.remove(detector)
+            if not siblings:
+                del self._detectors_by_tagged[detector.tagged_id]
         if detector in self._position_units:
             self._position_units.remove(detector)
         if detector in channel.occupancy_detectors:
             channel.occupancy_detectors.remove(detector)
-        feed = detector._arma_feed
-        if feed is not None and detector in feed.detectors:
+        if detector in feed.detectors:
             if channel.subscribers == 1:
                 # The last subscriber is leaving: freeze its feed at the
                 # present before the dead channel stops settling.
                 feed.settle()
             feed.detectors.remove(detector)
             if not feed.detectors:
-                self._drop_feed(channel, feed)
+                del channel.feeds[feed.key]
+                if feed in self._unborn:
+                    self._unborn.remove(feed)
         channel.subscribers -= 1
         if channel.subscribers <= 0:
             self._channel_list.remove(channel)
-            siblings = self._monitor_index.get(channel.monitor_id)
-            if siblings is not None and channel in siblings:
-                siblings.remove(channel)
-                if not siblings:
+            channels = self._monitor_index.get(channel.monitor_id)
+            if channels is not None and channel in channels:
+                channels.remove(channel)
+                if not channels:
                     del self._monitor_index[channel.monitor_id]
             if self._channels.get(channel.monitor_id) is channel:
                 del self._channels[channel.monitor_id]
-
-    def _drop_feed(self, channel: MonitorChannel, feed: _ArmaFeed) -> None:
-        """Remove a feed no detector holds.
-
-        Its attach epoch's terminal estimator goes too once no feed of
-        that epoch is left on the channel.
-        """
-        del channel._arma_by_key[feed.key]
-        channel.arma_feeds.remove(feed)
-        if feed in self._unborn:
-            self._unborn.remove(feed)
-        epoch = feed.key[0]
-        if all(key[0] != epoch for key in channel._arma_by_key):
-            channel.terminal_feeds.remove(channel._terminal_by_epoch.pop(epoch))
 
     def add_position_listener(self, unit: SimulationListener) -> None:
         """Forward mobility epochs to ``unit`` (e.g. a MonitorHandoff)."""
@@ -504,46 +408,37 @@ class SharedChannelObservatory(SimulationListener):
         reading feed state (cursors, estimators) from outside.
         """
         for channel in self._channel_list:
-            for feed in channel.arma_feeds:
+            for feed in channel.feeds.values():
                 feed.settle()
 
     def compact(self, present: Slots) -> Tuple[int, int]:
         """Drop timeline and demux state no live query can reach again.
 
-        A subscription's anchor is the end slot of its last processed
+        A detector's anchor is the end slot of its last processed
         observation, where the next interval query starts (``present``
-        before there is one).  Each channel prunes behind its earliest
-        anchor and feed cursor; each demux drops the processed
-        observations before its anchor.  Returns ``(intervals pruned,
-        observations dropped)``.
+        before there is one).  Each detector's ``observed`` list drops
+        the processed observations before its anchor, with ``_processed``
+        shifted to match; each channel prunes behind its earliest anchor
+        and feed cursor.  Returns ``(intervals pruned, observations
+        dropped)``.
         """
         self.sync_ingest()
-        horizons: Dict[MonitorChannel, Slots] = {}
-        dropped = 0
-        for subs in self._subs_by_tagged.values():
-            for subscription in subs:
-                detector = subscription._detector
-                if detector is None:
-                    continue
-                processed = detector._processed
-                anchor = (
-                    subscription.observed[processed - 1].end_slot
-                    if processed > 0
-                    else present
-                )
-                channel = subscription.channel
-                horizons[channel] = min(horizons.get(channel, anchor), anchor)
-                if processed > 1:
-                    del subscription.observed[: processed - 1]
-                    detector._processed = 1
-                    dropped += processed - 1
-        pruned = 0
-        for channel, horizon in horizons.items():
-            for feed in channel.arma_feeds:
-                if feed.birth_slot is None:
-                    horizon = 0
-                    break
-                horizon = min(horizon, feed.cursor)
+        pruned = dropped = 0
+        for channel in self._channel_list:
+            # An unborn feed's cursor is 0, which holds the whole timeline.
+            horizon = min(feed.cursor for feed in channel.feeds.values())
+            for feed in channel.feeds.values():
+                for detector in feed.detectors:
+                    processed = detector._processed
+                    if processed == 0:
+                        horizon = min(horizon, present)
+                        continue
+                    observed = detector.observed
+                    horizon = min(horizon, observed[processed - 1].end_slot)
+                    if processed > 1:
+                        del observed[: processed - 1]
+                        detector._processed = 1
+                        dropped += processed - 1
             if horizon > 0:
                 pruned += channel.prune_before(horizon)
         return pruned, dropped
@@ -587,19 +482,21 @@ class SharedChannelObservatory(SimulationListener):
         sensors: "FrozenSet[int]",
         decodable_monitors: "FrozenSet[int]",
     ) -> None:
-        """Mark one transmission start: sensed keys and decode flags."""
+        """Mark one transmission start: sensing channels and decoders.
+
+        The decoders are the sender's subscribed detectors whose monitor
+        decodes the frame; a detector attached after the start is not
+        among them, so it does not treat this transmission as decodable.
+        """
         sensed = self._channels_of(sensors, sender)
         if sensed:
             self._sensed_by_key[key] = sensed
-        subs = self._subs_by_tagged.get(sender)
+        subs = self._detectors_by_tagged.get(sender)
         if not subs:
             return
-        for subscription in subs:
-            if subscription.monitor_id in decodable_monitors:
-                keys = subscription._decodable_keys
-                if keys is None:
-                    keys = subscription._decodable_keys = set()
-                keys.add(key)
+        decoders = [d for d in subs if d.monitor_id in decodable_monitors]
+        if decoders:
+            self._decodable_by_key[key] = decoders
 
     def ingest_end(
         self,
@@ -639,7 +536,8 @@ class SharedChannelObservatory(SimulationListener):
         for channel in self._channels_of(sensors):
             if channel.monitor_id != sender:
                 channel.record_attempt(sender, sensors, collided)
-        subs = self._subs_by_tagged.get(sender)
+        decoders = self._decodable_by_key.pop(key, ())
+        subs = self._detectors_by_tagged.get(sender)
         if self._tracer is not None:
             self._tracer.instant(
                 "observatory.ingest",
@@ -656,25 +554,19 @@ class SharedChannelObservatory(SimulationListener):
             return
         #: per-monitor-node fault resolution memo: (rts, impairment)
         delivered: Dict[int, Tuple[object, Optional[str]]] = {}
-        for subscription in subs:
-            keys = subscription._decodable_keys
-            decodable = False
-            if keys is not None and key in keys:
-                decodable = True
-                keys.remove(key)
-                if not keys:
-                    subscription._decodable_keys = None
+        for detector in subs:
+            decodable = detector in decoders
             rts = frame if decodable else None
             impairment = None
             if decodable and self.faults is not None:
-                monitor = subscription.monitor_id
+                monitor = detector.monitor_id
                 outcome = delivered.get(monitor)
                 if outcome is None:
                     outcome = delivered[monitor] = self.faults.deliver_rts(
                         monitor, sender, start_slot, frame
                     )
                 rts, impairment = outcome
-            subscription.observed.append(
+            detector.observed.append(
                 ObservedTransmission(
                     start_slot=start_slot,
                     end_slot=end_slot,
@@ -687,10 +579,8 @@ class SharedChannelObservatory(SimulationListener):
         # Run the sample pipelines only after every demux appended, in
         # attach order (which fixes the audit-record order exactly as
         # the per-listener dispatch did).
-        for subscription in subs:
-            detector = subscription._detector
-            if detector is not None:
-                detector._process_new_observations(medium)
+        for detector in subs:
+            detector._process_new_observations(medium)
 
     def ingest_positions(
         self,
@@ -714,11 +604,11 @@ class SharedChannelObservatory(SimulationListener):
         # no other sensed transmission garbling the preamble — resolved
         # once per monitor node, not once per detector.
         decodable_monitors: Set[int] = set()
-        subs = self._subs_by_tagged.get(sender)
+        subs = self._detectors_by_tagged.get(sender)
         if subs:
             flags: Dict[int, bool] = {}
-            for subscription in subs:
-                monitor = subscription.monitor_id
+            for detector in subs:
+                monitor = detector.monitor_id
                 decodable = flags.get(monitor)
                 if decodable is None:
                     decodable = flags[monitor] = medium.clean_decode(

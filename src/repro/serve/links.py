@@ -1,14 +1,15 @@
 """Per-``(monitor, sender)`` link state and the bounded link table.
 
-Each tracked link owns one observatory subscription plus private audit
-and provenance logs whose records are tagged with the stream event
-index they were produced (or reserved) at.  ``(event tag, attach seq,
+Each tracked link owns one observatory-subscribed detector plus private
+audit and provenance logs whose records are tagged with the stream
+event index they were produced (or reserved) at.  ``(event tag, attach seq,
 per-link index)`` is the one publication order: it lets sharded workers
 reassemble the exact single-process log interleaving, and the session's
 sink writer orders each flush's records by it.
 
 Two bounded-memory levers live here: the :class:`LinkTable` cap with LRU
-eviction (least recent tagged activity, attach order as the tie-break —
+eviction (least recent activity — the later of the link's attach and
+its tagged node's last end event — with attach order as the tie-break;
 deterministic, stream-only), and :class:`ObservationLedger`, a list
 replacement for ``detector.observations`` that retains only the newest
 K entries while preserving *virtual* indices (so provenance observation
@@ -23,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.detector import BackoffMisbehaviorDetector
-from repro.core.observatory import ObservatorySubscription
 from repro.core.records import BackoffObservation
 from repro.obs.audit import AuditRecord, DecisionAuditLog, JsonlLog, RecordT
 from repro.obs.provenance import ProvenanceLog, ProvenanceRecord
@@ -129,18 +129,21 @@ class ObservationLedger:
 
 @dataclass
 class LinkState:
-    """Everything the session holds for one tracked (monitor, sender)."""
+    """Everything the session holds for one tracked (monitor, sender).
+
+    The detector is the link's observatory subscription: it holds its
+    channel view and its demux.
+    """
 
     monitor: int
     tagged: int
     attach_seq: int
     discovered: bool
     detector: BackoffMisbehaviorDetector
-    subscription: ObservatorySubscription
     audit: TaggedAuditLog
     provenance: TaggedProvenanceLog
-    #: stream event index of the tagged node's most recent end event
-    last_active: int = 0
+    #: stream event index at which the link was attached
+    attached_at: int
     ledger: Optional[ObservationLedger] = field(default=None)
 
 
@@ -148,10 +151,11 @@ class LinkTable:
     """Tracked links keyed by (monitor, sender), LRU-bounded.
 
     ``max_links`` caps *this table*; a sharded deployment gives each
-    worker ``max_links // shard_count``.  Eviction picks the link whose
-    tagged node has been silent longest (stream event index of its last
-    end event), breaking ties by attach order — both are pure functions
-    of the stream, so eviction is deterministic and replayable.
+    worker ``max_links // shard_count``.  Eviction picks the link that
+    has been idle longest: its activity is the later of its attach and
+    its tagged node's last end event (stream event indices), and attach
+    order breaks ties — both are pure functions of the stream, so
+    eviction is deterministic and replayable.
     """
 
     def __init__(self, max_links: Optional[int] = None) -> None:
@@ -161,7 +165,9 @@ class LinkTable:
         self.evicted_links = 0
         self.evicted_verdicts = 0
         self._states: Dict[LinkKey, LinkState] = {}
-        self._by_tagged: Dict[int, List[LinkState]] = {}
+        #: sender -> stream event index of its latest end event (one
+        #: entry per sender seen, like the session's link numbering)
+        self._last_end: Dict[int, int] = {}
 
     def __len__(self) -> int:
         return len(self._states)
@@ -176,17 +182,22 @@ class LinkTable:
         """Live links in attach order."""
         return sorted(self._states.values(), key=lambda s: s.attach_seq)
 
-    def by_tagged(self, tagged: int) -> List[LinkState]:
-        return list(self._by_tagged.get(tagged, ()))
+    def touch(self, sender: int, index: int) -> None:
+        """Record that ``sender`` ended a transmission at event ``index``."""
+        self._last_end[sender] = index
 
     def needs_eviction(self) -> bool:
         return self.max_links is not None and len(self._states) >= self.max_links
 
     def pick_victim(self) -> LinkState:
         """The LRU link (oldest activity, earliest attach breaks ties)."""
+        last_end = self._last_end
         return min(
             self._states.values(),
-            key=lambda s: (s.last_active, s.attach_seq),
+            key=lambda s: (
+                max(s.attached_at, last_end.get(s.tagged, 0)),
+                s.attach_seq,
+            ),
         )
 
     def insert(self, state: LinkState) -> None:
@@ -194,14 +205,9 @@ class LinkTable:
         if key in self._states:
             raise ValueError(f"link {key} already tracked")
         self._states[key] = state
-        self._by_tagged.setdefault(state.tagged, []).append(state)
 
     def remove(self, state: LinkState) -> None:
         del self._states[(state.monitor, state.tagged)]
-        siblings = self._by_tagged[state.tagged]
-        siblings.remove(state)
-        if not siblings:
-            del self._by_tagged[state.tagged]
         self.evicted_links += 1
         self.evicted_verdicts += len(state.detector.verdicts)
 

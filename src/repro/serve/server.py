@@ -23,7 +23,7 @@ distinguish it from a simulator run:
 
 * **Bounded memory.** At each maintenance sweep the observatory prunes
   channel timelines behind the oldest slot any live query can reach and
-  compacts subscription demuxes behind the sample anchor
+  compacts each detector's demux behind its sample anchor
   (:meth:`~repro.core.observatory.SharedChannelObservatory.compact`);
   the observation store can be capped with virtual indices intact, and
   the link table LRU-evicts under ``max_links``.
@@ -45,7 +45,6 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, TextIO, Tuple
 
 from repro.core.detector import BackoffMisbehaviorDetector, DetectorConfig
 from repro.core.observatory import BatchScheduler, SharedChannelObservatory
-from repro.core.ranksum import check_alternative
 from repro.core.records import BackoffObservation, Verdict
 from repro.mac.prng import splitmix64
 from repro.obs.audit import AuditRecord, DecisionAuditLog, jsonl_line
@@ -74,7 +73,7 @@ from repro.serve.records import (
     parse_line,
 )
 from repro.util.units import Slots
-from repro.util.validation import check_positive, check_probability
+from repro.util.validation import check_positive
 
 FINGERPRINT_SCHEMA = "repro.serve/fingerprint/v1"
 
@@ -116,9 +115,6 @@ class ServeConfig:
             raise ValueError(f"flush_every must be >= 1, got {self.flush_every}")
         if self.observation_retention is not None:
             check_positive(self.observation_retention, "observation_retention")
-        check_positive(self.detector.sample_size, "sample_size")
-        check_probability(self.detector.alpha, "alpha")
-        check_alternative(self.detector.alternative)
         if self.maintain_every < 0:
             raise ValueError(
                 f"maintain_every must be >= 0, got {self.maintain_every}"
@@ -147,7 +143,6 @@ class LinkExport:
     audit_tags: List[int]
     provenance_records: List[ProvenanceRecord]
     provenance_tags: List[int]
-    last_active: int
 
     def audit_jsonl(self) -> str:
         return DecisionAuditLog(self.audit_records).to_jsonl()
@@ -182,7 +177,6 @@ def export_detector(
     discovered: bool = False,
     audit_tags: Optional[List[int]] = None,
     provenance_tags: Optional[List[int]] = None,
-    last_active: int = 0,
 ) -> LinkExport:
     """Snapshot one detector (live or streamed) as a :class:`LinkExport`.
 
@@ -203,7 +197,6 @@ def export_detector(
         audit_tags=list(audit_tags or []),
         provenance_records=list(provenance.records),
         provenance_tags=list(provenance_tags or []),
-        last_active=last_active,
     )
 
 
@@ -404,10 +397,9 @@ class ServeSession:
             attach_seq=seq,
             discovered=discovered,
             detector=detector,
-            subscription=detector.observer,  # type: ignore[arg-type]
             audit=audit,
             provenance=provenance,
-            last_active=self.clock.index,
+            attached_at=self.clock.index,
             ledger=ledger,
         )
         self.table.insert(state)
@@ -485,8 +477,7 @@ class ServeSession:
             )
         self._accept(event, "end")
         del self._inflight[event.tx]
-        for state in self.table.by_tagged(event.sender):
-            state.last_active = self.clock.index
+        self.table.touch(event.sender, self.clock.index)
         observed = event.observed
         self.observatory.ingest_end(
             event.slot,
@@ -580,7 +571,6 @@ class ServeSession:
                 discovered=state.discovered,
                 audit_tags=state.audit.tags,
                 provenance_tags=state.provenance.tags,
-                last_active=state.last_active,
             )
             for state in self.table.states()
         ]

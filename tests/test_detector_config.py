@@ -84,3 +84,26 @@ class TestConfigVariants:
 
         with pytest.raises(ValueError):
             SystemStateEstimator().probabilities(0.5, 5, 5, p_ib_scale=-1.0)
+
+
+class TestConfigValidation:
+    """A field a downstream constructor or estimate would reject fails
+    when the config is built, not mid-run."""
+
+    @pytest.mark.parametrize(
+        "name, fields",
+        [
+            ("arma_alpha", {"arma_alpha": 1.5}),
+            ("arma_interval_slots", {"arma_interval_slots": 0}),
+            ("known_n", {"known_n": -1, "known_k": 5}),
+            ("known_k", {"known_n": 5, "known_k": -1}),
+        ],
+        ids=["arma_alpha", "arma_interval_slots", "known_n", "known_k"],
+    )
+    def test_bad_field_fails_at_construction(self, name, fields):
+        with pytest.raises(ValueError, match=name):
+            DetectorConfig(**fields)
+
+    def test_defaults_and_known_counts_accepted(self):
+        DetectorConfig()
+        DetectorConfig(known_n=0, known_k=0, arma_alpha=1.0)

@@ -263,8 +263,9 @@ def test_new_observers_pick_up_the_active_schedule():
     assert observer.faults is active_schedule()
     observatory = SharedChannelObservatory()
     assert observatory.faults is active_schedule()
-    subscription = observatory.attach(1, 2)
-    assert subscription.observer.faults is active_schedule()
+    detector = observatory.attach(1, 2)
+    assert detector._arma_feed.observatory.faults is active_schedule()
+    assert detector._quarantine_audit
 
 
 # -- end-to-end determinism ---------------------------------------------------
@@ -295,8 +296,8 @@ def test_legacy_and_observatory_agree_under_faults():
     reach identical verdicts."""
     legacy = _run_detector(use_observatory=False)
     shared = _run_detector(use_observatory=True)
-    legacy_obs = [repr(o) for o in legacy.observer.observed]
-    shared_obs = [repr(o) for o in shared.observer.observed]
+    legacy_obs = [repr(o) for o in legacy.observed]
+    shared_obs = [repr(o) for o in shared.observed]
     assert legacy_obs == shared_obs
     assert legacy.quarantine_counts == shared.quarantine_counts
     assert [repr(v) for v in legacy.verdicts] == [repr(v) for v in shared.verdicts]
@@ -310,8 +311,8 @@ def test_legacy_and_observatory_agree_under_faults():
 def test_faulted_runs_are_reproducible():
     first = _run_detector(use_observatory=True)
     second = _run_detector(use_observatory=True)
-    assert [repr(o) for o in first.observer.observed] == [
-        repr(o) for o in second.observer.observed
+    assert [repr(o) for o in first.observed] == [
+        repr(o) for o in second.observed
     ]
     assert first.quarantine_counts == second.quarantine_counts
 

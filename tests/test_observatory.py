@@ -1,13 +1,15 @@
 """Equivalence contract of the shared observation plane.
 
 The :class:`SharedChannelObservatory` replaces one full engine listener
-per detector with a single listener plus per-detector subscriptions; its
-promise is that this is a pure re-plumbing — same-seed observations,
+per detector with a single listener that feeds subscribed detectors —
+each querying its monitor node's shared channel and owning its demux;
+its promise is that this is a pure re-plumbing — same-seed observations,
 verdicts, audit logs and metrics snapshots stay byte-identical to the
 per-detector-observer path.  These tests pin that promise on the
 paper's scenarios (grid, random, mobile with monitor hand-off) and on
 the dense multi-monitor grid where sharing actually kicks in, plus the
-view-API compatibility and subscription lifecycle semantics.
+view-API compatibility, the subscription lifecycle and what one
+tracked link holds.
 """
 
 import hashlib
@@ -16,6 +18,8 @@ import json
 
 import pytest
 
+from repro.core.arma import ArmaTrafficEstimator
+from repro.core.bianchi import CompetingTerminalEstimator
 from repro.core.detector import (
     BackoffMisbehaviorDetector,
     DetectorConfig,
@@ -106,13 +110,13 @@ class TestSameSeedEquivalence:
             lambda: GridScenario(seed=5), 60, 300, 60.0
         )
         assert legacy.observation_count >= 100
-        assert legacy.observer.observed == shared.observer.observed
+        assert legacy.observed == shared.observed
 
     def test_random_static(self):
         legacy, shared = self._assert_equivalent(
             lambda: RandomScenario(seed=5), 50, 200, 60.0
         )
-        assert legacy.observer.observed == shared.observer.observed
+        assert legacy.observed == shared.observed
 
     def test_mobile_handoff(self):
         legacy, shared = self._assert_equivalent(
@@ -168,25 +172,28 @@ class TestMultiDetectorEquivalence:
         for det_l, det_s in zip(legacy, shared):
             assert det_l.observations == det_s.observations
             assert det_l.verdicts == det_s.verdicts
-            assert det_l.observer.observed == det_s.observer.observed
+            assert det_l.observed == det_s.observed
             # Feeds fold on read: this settles feeds the dispatch skipped.
             assert det_l.rho == det_s.rho
         assert _audit_sha(audit_l) == _audit_sha(audit_s)
         assert len(audit_l.records) == len(audit_s.records) > 0
         assert metrics_l.snapshot() == metrics_s.snapshot()
         # The sharing actually happened: 16 subscriptions collapse onto
-        # 4 monitor channels, each with one shared ARMA feed and one
-        # shared competing-terminal estimator.
+        # 4 monitor channels, each with one feed whose ARMA and
+        # competing-terminal estimators its 4 detectors share.
         assert len(observatory._channels) == 4
         for channel in observatory._channels.values():
             assert channel.subscribers == 4
-            assert len(channel.arma_feeds) == 1
-            assert len(channel.terminal_feeds) == 1
-            assert len(channel.arma_feeds[0].detectors) == 4
+            (feed,) = channel.feeds.values()
+            assert len(feed.detectors) == 4
+            for detector in feed.detectors:
+                assert detector.observer is channel
+                assert detector.arma is feed.arma
+                assert detector.terminal_estimator is feed.terminal
 
 
 class TestViewCompatibility:
-    """The subscription and its shared channel answer every
+    """A subscribed detector's shared channel and demux answer every
     ChannelObserver query identically."""
 
     def _run_pair(self):
@@ -205,28 +212,29 @@ class TestViewCompatibility:
             monitor, sender, config=CONFIG, separation=scenario.separation
         )
         sim.run(5.0)
-        return observer, detector.observer
+        return observer, detector, observatory
 
     def test_queries_match_channel_observer(self):
-        observer, subscription = self._run_pair()
+        observer, detector, observatory = self._run_pair()
+        channel = detector.observer
         end = observer.last_slot
         assert end > 0
-        assert subscription.last_slot == end
+        assert observatory.last_slot == end
         spans = [(0, end), (end // 4, end // 2), (end // 2, end), (0, 1)]
         for start, stop in spans:
-            assert subscription.channel.busy_slots_in(start, stop) == (
+            assert channel.busy_slots_in(start, stop) == (
                 observer.busy_slots_in(start, stop)
             )
-            assert subscription.channel.busy_intervals_in(start, stop) == (
+            assert channel.busy_intervals_in(start, stop) == (
                 observer.busy_intervals_in(start, stop)
             )
-            assert subscription.idle_busy_counts(start, stop) == (
+            assert channel.idle_busy_counts(start, stop) == (
                 observer.idle_busy_counts(start, stop)
             )
-            assert subscription.own_tx_slots_in(start, stop) == (
+            assert channel.own_tx_slots_in(start, stop) == (
                 observer.own_tx_slots_in(start, stop)
             )
-        assert subscription.observed == observer.observed
+        assert detector.observed == observer.observed
 
     def test_last_slot_tracks_every_end_event(self):
         _fresh_run_state()
@@ -245,20 +253,20 @@ class TestViewCompatibility:
         assert checker.mismatches == 0
 
     def test_joint_state_counts_interop(self):
-        observer, subscription = self._run_pair()
+        observer, detector, _observatory = self._run_pair()
         end = observer.last_slot
-        mixed = joint_state_counts(subscription.channel, observer, 0, end)
+        mixed = joint_state_counts(detector.observer, observer, 0, end)
         pure = joint_state_counts(observer, observer, 0, end)
         assert mixed == pure
         assert sum(mixed.values()) == end
 
 
 class _LastSlotChecker(SimulationListener):
-    """Counts end events after which some subscription's ``last_slot``
+    """Counts end events after which the observatory's ``last_slot``
     differs from the largest end slot ingested so far."""
 
     def __init__(self, observatory):
-        self.subscriptions = [d.observer for d in observatory.detectors]
+        self.observatory = observatory
         self.largest = 0
         self.ends = 0
         self.mismatches = 0
@@ -266,9 +274,7 @@ class _LastSlotChecker(SimulationListener):
     def on_transmission_end(self, slot, transmission, success, medium):
         self.ends += 1
         self.largest = max(self.largest, transmission.end_slot)
-        self.mismatches += sum(
-            sub.last_slot != self.largest for sub in self.subscriptions
-        )
+        self.mismatches += self.observatory.last_slot != self.largest
 
 
 def _toy_plane():
@@ -307,11 +313,11 @@ class TestSubscriptionLifecycle:
         assert shared.busy_slots_in(0, 100) == 10
         late = observatory.attach(1, 2, config=CONFIG, fresh_channel=True)
         # The private channel never saw the earlier interval...
-        assert late.observer.channel.busy_slots_in(0, 100) == 0
+        assert late.observer.busy_slots_in(0, 100) == 0
         # ...and the shared one is untouched by the new subscription.
         assert shared.subscribers == 1
         _drive(medium, observatory, sender=0, start=30, end=40)
-        assert late.observer.channel.busy_slots_in(0, 100) == 10
+        assert late.observer.busy_slots_in(0, 100) == 10
         assert shared.busy_slots_in(0, 100) == 20
 
     def test_detach_freezes_state_and_releases_channel(self):
@@ -322,11 +328,11 @@ class TestSubscriptionLifecycle:
         _drive(medium, observatory, sender=0, start=10, end=20)
         observatory.detach(first)
         assert observatory._channels[1].subscribers == 1
-        frozen = first.observer.channel.busy_slots_in(0, 100)
+        frozen = first.observer.busy_slots_in(0, 100)
         _drive(medium, observatory, sender=0, start=30, end=40)
-        # The detached subscription still reads the shared channel.
-        assert first.observer.channel.busy_slots_in(0, 100) == frozen + 10
-        assert len(first.observer.observed) == 1  # demux frozen
+        # The detached detector still reads the shared channel.
+        assert first.observer.busy_slots_in(0, 100) == frozen + 10
+        assert len(first.observed) == 1  # demux frozen
         observatory.detach(second)
         assert 1 not in observatory._channels
         assert observatory._channel_list == []
@@ -336,26 +342,26 @@ class TestSubscriptionLifecycle:
         first = observatory.attach(1, 0, config=CONFIG)
         unborn = observatory.attach(1, 2, config=CONFIG)
         channel = observatory._channels[1]
-        # Same attach epoch: one shared feed and terminal estimator.
-        assert len(channel.arma_feeds) == len(channel.terminal_feeds) == 1
+        # Same attach epoch: one shared feed and its estimators.
+        assert list(channel.feeds.values()) == [first._arma_feed]
+        assert unborn._arma_feed is first._arma_feed
         _drive(medium, observatory, sender=0, start=10, end=20)
         late = observatory.attach(1, 0, config=CONFIG)
-        assert len(channel.arma_feeds) == len(channel.terminal_feeds) == 2
+        assert len(channel.feeds) == 2
         assert observatory._unborn == [late._arma_feed]
         observatory.detach(late)
         assert observatory._unborn == []
-        assert channel.arma_feeds == [first._arma_feed]
-        assert channel.terminal_feeds == [first.terminal_estimator]
+        assert list(channel.feeds.values()) == [first._arma_feed]
+        assert first.terminal_estimator is first._arma_feed.terminal
         observatory.detach(first)
-        # ``unborn`` still holds the epoch-0 feed and estimator.
-        assert channel.arma_feeds == [unborn._arma_feed]
-        assert list(channel._arma_by_key.values()) == channel.arma_feeds
-        assert channel.terminal_feeds == [unborn.terminal_estimator]
+        # ``unborn`` still holds the epoch-0 feed and its estimators.
+        assert list(channel.feeds.values()) == [unborn._arma_feed]
+        assert unborn.terminal_estimator is unborn._arma_feed.terminal
 
     def test_serve_eviction_keeps_live_channel_feeds_bounded(self):
         """Links that share monitors churn through a capped serve table;
-        each live channel keeps at most one feed and one terminal
-        estimator per subscriber, not one per link it ever served."""
+        each live channel keeps at most one feed (with its terminal
+        estimator) per subscriber, not one per link it ever served."""
         lines, _pairs, separation = capture_scenario("multi", 1.0)
         session = ServeSession(
             ServeConfig(detector=CONFIG, separation=separation, max_links=8)
@@ -366,8 +372,7 @@ class TestSubscriptionLifecycle:
         channels = session.observatory._channel_list
         assert channels
         for channel in channels:
-            assert len(channel.arma_feeds) <= channel.subscribers
-            assert len(channel.terminal_feeds) <= channel.subscribers
+            assert len(channel.feeds) <= channel.subscribers
 
 
 class TestRegionModelCache:
@@ -423,13 +428,45 @@ class TestPerLinkLayout:
                 detector.attempt_verifier,
                 detector.countdown_verifier,
                 detector.terminal_estimator,
-                state.subscription,
-                state.subscription.channel,
+                detector.observer,
+                detector._arma_feed,
                 state.audit,
                 state.provenance,
             ]
             for item in held:
                 assert not hasattr(item, "__dict__"), type(item).__name__
+
+    def test_shared_estimators_are_built_once(self, monkeypatch):
+        """Each feed builds one ARMA and one competing-terminal
+        estimator, and every detector on it reads those two."""
+        lines, pairs, separation = capture_scenario("multi", 1.0)
+        built = {ArmaTrafficEstimator: 0, CompetingTerminalEstimator: 0}
+        for cls in built:
+
+            def counting(self, *args, _cls=cls, _init=cls.__init__, **kwargs):
+                built[_cls] += 1
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        session = ServeSession(
+            ServeConfig(detector=CONFIG, separation=separation), links=pairs
+        )
+        for line in lines:
+            session.handle_line(line)
+        feeds = [
+            feed
+            for channel in session.observatory._channel_list
+            for feed in channel.feeds.values()
+        ]
+        assert len(feeds) == 4
+        assert built == {ArmaTrafficEstimator: 4, CompetingTerminalEstimator: 4}
+        states = session.table.states()
+        assert len(states) == len(pairs) == 16
+        for state in states:
+            detector = state.detector
+            assert detector._arma_feed in feeds
+            assert detector.arma is detector._arma_feed.arma
+            assert detector.terminal_estimator is detector._arma_feed.terminal
 
     def test_windows_hold_only_the_newest_samples(self):
         size = SMALL_WINDOW.sample_size

@@ -85,7 +85,7 @@ def test_clean_run_emits_no_quarantine_metrics():
 
 def test_quarantined_observations_never_become_samples():
     detector, _audit = _run(spec="decode=0.5,seed=7")
-    undecodable = [o for o in detector.observer.observed if o.rts is None]
+    undecodable = [o for o in detector.observed if o.rts is None]
     assert len(undecodable) == sum(detector.quarantine_counts.values())
     # Every accepted rank-sum sample came from a decoded announcement.
     assert detector.observation_count == len(detector.observations)

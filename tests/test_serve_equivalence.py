@@ -39,6 +39,7 @@ from repro.obs.provenance import ProvenanceLog
 from repro.serve.capture import (
     STREAM_SCENARIOS,
     StreamCapture,
+    capture_scenario,
     synthetic_links,
     synthetic_stream,
 )
@@ -257,10 +258,48 @@ def test_sinks_receive_the_merged_publication_order(max_links):
         assert sinks == written[0], f"sink bytes moved at flush_every={flush_every}"
 
 
+@pytest.mark.parametrize(
+    "max_links, evicted, combined",
+    [
+        (8, 58, "ea6adf4ea235f283"),
+        (6, 132, "fd8878f7037b0e67"),
+        (4, 136, "4fdb1bf8f6689285"),
+    ],
+    ids=["cap8", "cap6", "cap4"],
+)
+def test_capped_discovery_evicts_the_same_links(max_links, evicted, combined):
+    """Which links a capped table evicts, pinned by count and result.
+
+    The LRU victim is the link whose activity — the later of its attach
+    and its tagged node's last end event — is oldest; a different victim
+    changes the evicted count or the surviving links' fingerprints.
+    """
+    _fresh_process_state()
+    lines, _pairs, separation = capture_scenario("multi", 1.0)
+    audit, provenance = io.StringIO(), io.StringIO()
+    session = ServeSession(
+        ServeConfig(
+            detector=DetectorConfig(
+                sample_size=25, known_n=5, known_k=5, warmup_slots=0
+            ),
+            separation=separation,
+            max_links=max_links,
+            flush_every=1,
+        ),
+        audit_sink=audit,
+        provenance_sink=provenance,
+    )
+    result = session.run(lines)
+    assert result.evicted_links == evicted
+    assert result.fingerprint()["combined"].startswith(combined)
+    assert audit.getvalue() and provenance.getvalue()
+
+
 def test_subscriptions_report_the_latest_end_slot():
-    """``last_slot`` is ChannelObserver-compatible mid-stream: every
-    subscription reads the largest end slot ingested so far, whether or
-    not its own channel took part in the latest events."""
+    """``last_slot`` is ChannelObserver-compatible mid-stream: the
+    observatory every link's detector subscribes to reads the largest
+    end slot ingested so far, whether or not a link's own channel took
+    part in the latest events."""
     session = ServeSession(ServeConfig(detector=CONFIG))
     largest = 0
     checks = 0
@@ -269,14 +308,8 @@ def test_subscriptions_report_the_latest_end_slot():
         if isinstance(event, EndEvent):
             largest = max(largest, event.observed.end_slot)
         if count % 300 == 0:
-            states = list(session.table.states())
-            assert len(states) > 1
-            stale = [
-                (state.monitor, state.tagged)
-                for state in states
-                if state.subscription.last_slot != largest
-            ]
-            assert not stale, f"{len(stale)} of {len(states)} links stale"
+            assert len(session.table) > 1
+            assert session.observatory.last_slot == largest
             checks += 1
     assert largest > 0
     assert checks >= 4

@@ -253,29 +253,29 @@ class TestStreamSemanticRejects:
 
 
 @pytest.mark.parametrize(
-    "config",
+    "config, detector",
     [
-        {"observation_retention": 0},
-        {"detector": DetectorConfig(sample_size=0)},
+        ({"observation_retention": 0}, {}),
+        ({}, {"sample_size": 0}),
     ],
     ids=["retention", "sample_size"],
 )
-def test_config_rejects_empty_stores(config):
+def test_config_rejects_empty_stores(config, detector):
     """Checked when the config is built, not when a link first attaches
     mid-stream (a live source would already be open)."""
     with pytest.raises(ValueError):
-        ServeConfig(**config)
+        ServeConfig(detector=DetectorConfig(**detector), **config)
 
 
 @pytest.mark.parametrize(
     "detector",
-    [DetectorConfig(alpha=1.5), DetectorConfig(alternative="lesser")],
+    [{"alpha": 1.5}, {"alternative": "lesser"}],
     ids=["alpha", "alternative"],
 )
 def test_config_rejects_bad_rank_sum_settings(detector):
     """A bad alpha or test direction fails when the config is built."""
     with pytest.raises(ValueError):
-        ServeConfig(detector=detector)
+        ServeConfig(detector=DetectorConfig(**detector))
 
 
 def test_bad_alternative_fails_before_the_first_line():
@@ -288,10 +288,11 @@ def test_bad_alternative_fails_before_the_first_line():
             pulled.append(line)
             yield line
 
-    detector = DetectorConfig(
-        sample_size=5, known_n=5, known_k=5, warmup_slots=0, alternative="bogus"
-    )
     with pytest.raises(ValueError, match="alternative"):
+        detector = DetectorConfig(
+            sample_size=5, known_n=5, known_k=5, warmup_slots=0,
+            alternative="bogus",
+        )
         ServeSession(ServeConfig(detector=detector)).run(source())
     assert pulled == []
 
