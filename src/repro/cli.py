@@ -561,8 +561,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="cap tracked links; least-recently-active links are "
-        "evicted (default: unbounded)",
+        help="cap tracked links across all workers (each of J workers "
+        "tracks at most N // J; N must be >= J); least-recently-active "
+        "links are evicted (default: unbounded)",
     )
     serve.add_argument(
         "--retention",
@@ -577,8 +578,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=64,
         metavar="N",
-        help="end events between batched rank-sum flushes "
-        "(verdict-identical at any cadence; default: 64)",
+        help="cap on end events between batched rank-sum flushes; "
+        "a flush also comes one exchange of stream time after a verdict "
+        "went pending (verdict-identical at any cadence; default: 64)",
     )
     serve.add_argument(
         "--maintain-every",

@@ -361,31 +361,32 @@ class SharedChannelObservatory(SimulationListener):
         A feed no remaining detector holds leaves the channel, so
         evictions cannot grow a live channel's per-event work.  If the
         channel has no remaining subscribers it stops updating entirely
-        (like a retired private observer).
+        (like a retired private observer).  Detaching a detector twice
+        raises ``ValueError`` and leaves its channel alone.
         """
         feed = detector._arma_feed
         if feed is None:
             raise ValueError("detector is not observatory-subscribed")
+        if detector not in feed.detectors:
+            raise ValueError("detector is already detached")
         channel = feed.channel
-        siblings = self._detectors_by_tagged.get(detector.tagged_id, [])
-        if detector in siblings:
-            siblings.remove(detector)
-            if not siblings:
-                del self._detectors_by_tagged[detector.tagged_id]
+        siblings = self._detectors_by_tagged[detector.tagged_id]
+        siblings.remove(detector)
+        if not siblings:
+            del self._detectors_by_tagged[detector.tagged_id]
         if detector in self._position_units:
             self._position_units.remove(detector)
         if detector in channel.occupancy_detectors:
             channel.occupancy_detectors.remove(detector)
-        if detector in feed.detectors:
-            if channel.subscribers == 1:
-                # The last subscriber is leaving: freeze its feed at the
-                # present before the dead channel stops settling.
-                feed.settle()
-            feed.detectors.remove(detector)
-            if not feed.detectors:
-                del channel.feeds[feed.key]
-                if feed in self._unborn:
-                    self._unborn.remove(feed)
+        if channel.subscribers == 1:
+            # The last subscriber is leaving: freeze its feed at the
+            # present before the dead channel stops settling.
+            feed.settle()
+        feed.detectors.remove(detector)
+        if not feed.detectors:
+            del channel.feeds[feed.key]
+            if feed in self._unborn:
+                self._unborn.remove(feed)
         channel.subscribers -= 1
         if channel.subscribers <= 0:
             self._channel_list.remove(channel)

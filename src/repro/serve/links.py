@@ -150,12 +150,14 @@ class LinkState:
 class LinkTable:
     """Tracked links keyed by (monitor, sender), LRU-bounded.
 
-    ``max_links`` caps *this table*; a sharded deployment gives each
-    worker ``max_links // shard_count``.  Eviction picks the link that
-    has been idle longest: its activity is the later of its attach and
-    its tagged node's last end event (stream event indices), and attach
-    order breaks ties — both are pure functions of the stream, so
-    eviction is deterministic and replayable.
+    ``max_links`` caps *this table*; a sharded
+    :func:`~repro.serve.shard.run_serve` gives each worker's table
+    ``max_links // workers``, so the cap holds for the total.  Eviction
+    picks the link that has been idle longest: its activity is the
+    later of its attach and its tagged node's last end event (stream
+    event indices), and attach order breaks ties — both are pure
+    functions of the stream, so eviction is deterministic and
+    replayable.
     """
 
     def __init__(self, max_links: Optional[int] = None) -> None:

@@ -8,13 +8,17 @@ via the observatory's medium-free ``ingest_*`` methods.  Four things
 distinguish it from a simulator run:
 
 * **Coalesced evaluation.** Every detector's ready windows defer to one
-  session-owned :class:`~repro.core.observatory.BatchScheduler` flushed
-  every ``flush_every`` end events, so
+  session-owned :class:`~repro.core.observatory.BatchScheduler`, so
   :func:`~repro.core.ranksum.rank_sum_many` ranks a flush's worth of
-  windows per call.  The detector reserves each deferred verdict's list
-  slot, id number and log indices, and freezes what its records
-  describe, at the event that produced it, so verdicts/audit/provenance
-  are byte-identical to eager per-event evaluation at any flush cadence.
+  windows per call.  The session flushes at the first event
+  :data:`PUBLISH_WITHIN_SLOTS` (one exchange) of stream time past the
+  end event that left work pending, or after ``flush_every`` end
+  events, whichever comes first: sparse streams publish within an
+  exchange, dense ones keep full batches.  The detector reserves each
+  deferred verdict's list slot, id number and log indices, and freezes
+  what its records describe, at the event that produced it, so
+  verdicts/audit/provenance are byte-identical to eager per-event
+  evaluation at any flush schedule.
 
 * **Incremental sinks.** Each record a link's log claims is queued, with
   its publication-order key, in the outbox of its sink; a flush writes
@@ -46,6 +50,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, TextIO, Tuple
 from repro.core.detector import BackoffMisbehaviorDetector, DetectorConfig
 from repro.core.observatory import BatchScheduler, SharedChannelObservatory
 from repro.core.records import BackoffObservation, Verdict
+from repro.mac.constants import DEFAULT_TIMING
 from repro.mac.prng import splitmix64
 from repro.obs.audit import AuditRecord, DecisionAuditLog, jsonl_line
 from repro.obs.provenance import ProvenanceLog, ProvenanceRecord
@@ -77,6 +82,10 @@ from repro.util.validation import check_positive
 
 FINGERPRINT_SCHEMA = "repro.serve/fingerprint/v1"
 
+#: stream time a pending verdict may wait for its flush: one exchange
+#: (every link attaches with the default timing)
+PUBLISH_WITHIN_SLOTS: Slots = DEFAULT_TIMING.exchange_slots
+
 
 def shard_of(monitor: int, sender: int, shard_count: int) -> int:
     """The worker that owns link (monitor, sender): a splitmix64 hash.
@@ -95,7 +104,9 @@ class ServeConfig:
 
     detector: DetectorConfig = field(default_factory=DetectorConfig)
     separation: Optional[float] = None
-    #: end events between scheduler flushes (1 = eager per-event)
+    #: cap on end events between scheduler flushes (1 = eager
+    #: per-event); a flush also comes one exchange of stream time after
+    #: work went pending
     flush_every: int = 64
     #: end events between prune/compact sweeps (0 = never)
     maintain_every: int = 4096
@@ -340,6 +351,9 @@ class ServeSession:
         self._inflight: Dict[int, int] = {}
         self._last_slot: Optional[Slots] = None
         self._current_slot: Slots = 0
+        #: slot of the end event that left work unpublished since the
+        #: last flush (None = nothing pending)
+        self._pending_since: Optional[Slots] = None
         self._ends_since_flush = 0
         self._ends_since_maintain = 0
         self.flushes = 0
@@ -449,6 +463,11 @@ class ServeSession:
             self.shutdown = True
             self.stream_metrics.inc("serve.events.shutdown")
         self._last_slot = event.slot
+        if (
+            self._pending_since is not None
+            and event.slot - self._pending_since >= PUBLISH_WITHIN_SLOTS
+        ):
+            self._flush()
 
     def _accept(self, event: StreamEvent, kind: str) -> None:
         self.clock.index += 1
@@ -493,6 +512,10 @@ class ServeSession:
         self._ends_since_flush += 1
         if self._ends_since_flush >= self.config.flush_every:
             self._flush()
+        elif self._pending_since is None and (
+            len(self.scheduler) or self._audit_outbox or self._provenance_outbox
+        ):
+            self._pending_since = event.slot
         self._ends_since_maintain += 1
         if (
             self.config.maintain_every
@@ -528,6 +551,7 @@ class ServeSession:
             self.scheduler.flush()
             self.flushes += 1
         self._ends_since_flush = 0
+        self._pending_since = None
         # Every reservation is filled now, so each queued record is
         # concrete; write them in publication order.
         for sink, outbox in (

@@ -7,8 +7,9 @@ and the global attach numbering are pure functions of the stream, the
 merged per-link artifacts — and the event-tag-merged audit/provenance
 interleavings — are byte-identical at any worker count.
 
-The one contract caveat: LRU eviction under ``max_links`` is applied
-*per worker table*, so a capped table only matches across worker counts
+The one contract caveat: ``max_links`` caps the total, so each worker's
+table holds ``max_links // workers`` links and LRU eviction runs per
+worker table; a capped run therefore only matches across worker counts
 when no eviction fires (the soak suite caps at ``jobs=1``).
 """
 
@@ -34,9 +35,14 @@ def run_serve(
     """Replay a stream through one session or a sharded worker set.
 
     At ``jobs=1`` the audit/provenance sinks receive records
-    *incrementally* (each flush appends the newly concrete rows); with
-    workers the per-shard records are event-tag-merged and written once
-    at the end — same bytes, different latency.
+    *incrementally*: each flush appends the newly concrete rows, and a
+    flush comes within one exchange of stream time of the end event that
+    made them.  With workers the per-shard records are event-tag-merged
+    and written once at the end — same bytes, different latency.
+
+    ``config.max_links`` caps the links tracked across all workers: each
+    worker's table holds ``max_links // workers``, and a cap below the
+    worker count raises ``ValueError`` before any worker starts.
     """
     base = config if config is not None else ServeConfig()
     worker_count = resolve_jobs(jobs)
@@ -48,13 +54,26 @@ def run_serve(
             provenance_sink=provenance_sink,
         )
         return session.run(lines)
+    worker_cap: Optional[int] = None
+    if base.max_links is not None:
+        if base.max_links < worker_count:
+            raise ValueError(
+                f"max_links {base.max_links} is below the worker count "
+                f"{worker_count}: every worker needs room for one link"
+            )
+        worker_cap = base.max_links // worker_count
     # Workers each need the full stream; materialize once, fork shares
     # the pages copy-on-write.
     line_list = list(lines)
 
     def _run_shard(shard_index: int) -> ServeResult:
         session = ServeSession(
-            replace(base, shard_index=shard_index, shard_count=worker_count),
+            replace(
+                base,
+                shard_index=shard_index,
+                shard_count=worker_count,
+                max_links=worker_cap,
+            ),
             links=links,
         )
         return session.run(line_list)

@@ -337,6 +337,23 @@ class TestSubscriptionLifecycle:
         assert 1 not in observatory._channels
         assert observatory._channel_list == []
 
+    def test_second_detach_raises_and_keeps_the_shared_channel(self):
+        medium, observatory = _toy_plane()
+        first = observatory.attach(1, 0, config=CONFIG)
+        second = observatory.attach(1, 2, config=CONFIG)
+        channel = observatory._channels[1]
+        observatory.detach(first)
+        with pytest.raises(ValueError):
+            observatory.detach(first)
+        # The remaining subscriber still holds the shared channel...
+        assert channel.subscribers == 1
+        assert observatory._channel_list == [channel]
+        assert observatory._monitor_index == {1: [channel]}
+        # ...and its channel keeps updating.
+        _drive(medium, observatory, sender=2, start=10, end=20)
+        assert channel.busy_slots_in(0, 100) == 10
+        assert len(second.observed) == 1
+
     def test_detach_drops_feeds_no_detector_holds(self):
         medium, observatory = _toy_plane()
         first = observatory.attach(1, 0, config=CONFIG)

@@ -22,6 +22,7 @@ uncapped run's.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import hashlib
 import io
@@ -32,7 +33,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.detector import DetectorConfig, reset_region_cache
-from repro.core.observatory import SharedChannelObservatory
+from repro.core.observatory import BatchScheduler, SharedChannelObservatory
 from repro.mac.constants import DEFAULT_TIMING
 from repro.obs.audit import DecisionAuditLog
 from repro.obs.provenance import ProvenanceLog
@@ -64,10 +65,11 @@ GOLDEN_SCENARIOS = ("grid-cheat", "mobile", "multi")
 
 JOBS = (1, 2, 4)
 
-#: Scheduler flush cadences in end events: eager, the default suite
-#: cadence, and a single flush at ``finish`` — the last makes every
-#: deterministic verdict publish between a window's deferral and its
-#: fill.  The default keeps its bare ``jobs`` id.
+#: Scheduler flush caps in end events: eager, the default suite cadence,
+#: and a cap that never fires, which leaves the flushes to the session's
+#: one-exchange stream-time bound.  The default keeps its bare ``jobs``
+#: id.  (The longest deferral, one flush after the whole run, is
+#: :func:`test_one_flush_after_the_run_matches_eager_evaluation`.)
 CADENCES = [
     pytest.param(
         jobs,
@@ -160,6 +162,40 @@ class TestServeEquivalence:
             f"{ {k: (srv_print['links'].get(k), v) for k, v in ref_print['links'].items() if srv_print['links'].get(k) != v} })"
         )
         assert srv_print == ref_print
+
+    def test_one_flush_after_the_run_matches_eager_evaluation(self):
+        """The longest reservation gap: every detector of a golden
+        scenario defers into one scheduler flushed once after the run,
+        so every deterministic verdict publishes between a window's
+        deferral and its fill."""
+        _lines, _pairs, _separation, reference = _captured_run("multi")
+        _fresh_process_state()
+        sim, pairs, separation, duration_s = STREAM_SCENARIOS["multi"](3.0)
+        observatory = SharedChannelObservatory()
+        sim.add_listener(observatory)
+        scheduler = BatchScheduler()
+        attached = []
+        for seq, (monitor, tagged) in enumerate(pairs):
+            audit = DecisionAuditLog()
+            provenance = ProvenanceLog()
+            detector = observatory.attach(
+                monitor,
+                tagged,
+                config=CONFIG,
+                separation=separation,
+                audit=audit,
+                provenance=provenance,
+            )
+            detector._batch_scheduler = scheduler
+            attached.append((monitor, tagged, seq, detector, audit, provenance))
+        sim.run(duration_s)
+        assert len(scheduler) > 0
+        scheduler.flush()
+        deferred = [
+            export_detector(monitor, tagged, seq, detector, audit, provenance)
+            for monitor, tagged, seq, detector, audit, provenance in attached
+        ]
+        assert result_fingerprint(deferred) == result_fingerprint(reference)
 
     @pytest.mark.parametrize("name", GOLDEN_SCENARIOS)
     def test_merged_logs_are_jobs_invariant(self, name):
@@ -258,6 +294,86 @@ def test_sinks_receive_the_merged_publication_order(max_links):
         assert sinks == written[0], f"sink bytes moved at flush_every={flush_every}"
 
 
+class _StampedSink:
+    """A sink that stamps each write with the stream position being
+    applied (``position[0]``, set by the test as it feeds lines)."""
+
+    def __init__(self, position):
+        self.position = position
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append((self.position[0], text))
+
+
+def test_verdicts_reach_the_sink_within_one_exchange_of_stream_time():
+    """With a flush cap that never fires, every audit record is written
+    no later than the first event at least one exchange of stream time
+    past the end line that completed it (the line ``(observed.start_slot,
+    sender)`` equal to the record's ``(slot, tagged)``)."""
+    lines, pairs, separation, _reference = _captured_run("multi")
+    events = [json.loads(line) for line in lines]
+    slots = [event["slot"] for event in events]
+    end_index = {
+        (event["observed"]["start_slot"], event["sender"]): index
+        for index, event in enumerate(events)
+        if event["kind"] == "end"
+    }
+    position = [0]
+    audit = _StampedSink(position)
+
+    def fed():
+        for index, line in enumerate(lines):
+            position[0] = index
+            yield line
+        position[0] = len(lines)
+
+    run_serve(
+        fed(),
+        dataclasses.replace(_serve_config(separation), flush_every=10**9),
+        links=pairs,
+        jobs=1,
+        audit_sink=audit,
+    )
+    assert audit.writes
+    late = []
+    for written_at, text in audit.writes:
+        record = json.loads(text)
+        ended = end_index[(record["slot"], record["tagged"])]
+        due = slots[ended] + DEFAULT_TIMING.exchange_slots
+        deadline = bisect.bisect_left(slots, due, lo=ended + 1)
+        if written_at > deadline:
+            late.append((record["slot"], record["tagged"], written_at, deadline))
+    assert not late, f"{len(late)} of {len(audit.writes)} records late: {late[:5]}"
+
+
+def test_dense_streams_keep_the_end_event_cadence():
+    """On a stream dense enough that ``flush_every`` end events pass
+    within one exchange, the stream-time bound never fires first: every
+    sink write lands on a multiple of ``flush_every`` end events, or in
+    ``finish``, so the kernel keeps its full batches."""
+    config = ServeConfig(detector=SOAK_CONFIG)
+    ends = [0]
+    audit, provenance = _StampedSink(ends), _StampedSink(ends)
+    session = ServeSession(config, audit_sink=audit, provenance_sink=provenance)
+    for line in synthetic_stream(200, 50):
+        if json.loads(line)["kind"] == "end":
+            ends[0] += 1
+        session.handle_line(line)
+    ends[0] = None
+    result = session.finish()
+    assert result.flushes > 1
+    for sink in (audit, provenance):
+        stamps = {stamp for stamp, _text in sink.writes}
+        assert stamps - {None}
+        off_cadence = {
+            stamp
+            for stamp in stamps
+            if stamp is not None and stamp % config.flush_every
+        }
+        assert not off_cadence, sorted(off_cadence)[:5]
+
+
 @pytest.mark.parametrize(
     "max_links, evicted, combined",
     [
@@ -293,6 +409,21 @@ def test_capped_discovery_evicts_the_same_links(max_links, evicted, combined):
     assert result.evicted_links == evicted
     assert result.fingerprint()["combined"].startswith(combined)
     assert audit.getvalue() and provenance.getvalue()
+
+
+def test_max_links_caps_the_total_across_workers():
+    """Each of ``jobs`` workers gets ``max_links // jobs`` of the cap,
+    and a cap that cannot give every worker a link is refused."""
+    lines, _pairs, separation, _reference = _captured_run("multi")
+    config = ServeConfig(detector=CONFIG, separation=separation, max_links=8)
+    result = run_serve(iter(lines), config, jobs=2)
+    assert result.jobs == 2
+    assert result.evicted_links > 0
+    assert len(result.links) <= 8
+    with pytest.raises(ValueError, match="max_links"):
+        run_serve(
+            iter(lines), dataclasses.replace(config, max_links=1), jobs=2
+        )
 
 
 def test_subscriptions_report_the_latest_end_slot():
