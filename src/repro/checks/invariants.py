@@ -4,12 +4,15 @@ The engine's docstring promises a set of timing and determinism
 contracts — integer event times that never run backwards, within-slot
 processing in :class:`~repro.sim.engine.EventKind` order, back-off
 countdowns that never go negative, stale completion events discarded
-via the generation counter, and carrier sensing that prevents a node
-from transmitting into air it can hear is busy.  This module turns
-those promises into machine-checked assertions: install an
-:class:`InvariantChecker` as a listener (the engine does it for you
-when :func:`repro.checks.runtime.runtime_checks_enabled` is true) and
-every run becomes a race detector for the reconcile pass.
+via the generation counter, carrier sensing that prevents a node
+from transmitting into air it can hear is busy, and a reconcile pass
+that leaves every idle node's back-off in step with its channel and
+queue (counting only on idle air, frozen only on busy air, present
+whenever packets wait).  This module turns those promises into
+machine-checked assertions: install an :class:`InvariantChecker` as a
+listener (the engine does it for you when
+:func:`repro.checks.runtime.runtime_checks_enabled` is true) and every
+run becomes a race detector for the reconcile pass.
 
 The checker observes; it never mutates simulation state.  In strict
 mode (the default) the first violation raises :class:`InvariantError`
@@ -267,3 +270,40 @@ class InvariantChecker(SimulationListener):
                     f"node {node_id} has an active transmission on the medium "
                     "but its MAC is not in the transmitting state",
                 )
+            if not is_transmitting:
+                self._check_reconciled(slot, node_id, mac, engine.medium)
+
+    def _check_reconciled(
+        self, slot: int, node_id: int, mac: Any, medium: "Medium"
+    ) -> None:
+        """Reconcile completeness: the back-off of a node that is not
+        transmitting agrees with its channel and its queue.
+
+        The engine's edge-triggered reconcile visits only nodes whose
+        channel just turned busy or idle, or whose queue just became
+        non-empty; these are the states that must hold for every other
+        node to need no visit.
+        """
+        backoff = mac.backoff
+        if backoff.remaining is None:
+            if not mac.queue.is_empty:
+                self._fail(
+                    slot,
+                    "reconcile-completeness",
+                    f"node {node_id} has queued packets but holds no back-off",
+                )
+        elif backoff.counting:
+            if medium.senses_busy(node_id):
+                self._fail(
+                    slot,
+                    "reconcile-completeness",
+                    f"node {node_id} counts its back-off down while sensing "
+                    "busy air (the countdown should be frozen)",
+                )
+        elif not medium.senses_busy(node_id):
+            self._fail(
+                slot,
+                "reconcile-completeness",
+                f"node {node_id} back-off is frozen on idle air (the "
+                "countdown should have resumed)",
+            )

@@ -373,7 +373,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         f"verdicts: {summary['verdicts']} "
         f"({summary['violations']} deterministic violations) over "
         f"{summary['observations']} observations in "
-        f"{summary['flushes']} flushes"
+        f"{summary['flushes']} rank-sum batches"
     )
     if args.metrics:
         # Fold the session registries into the shared runtime registry

@@ -22,6 +22,7 @@ Two implementations share the interval bookkeeping in
 from __future__ import annotations
 
 import bisect
+import json
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
@@ -57,8 +58,13 @@ class ObservedTransmission:
 #
 # The streaming service (repro.serve) ships ObservedTransmission records
 # across process boundaries as JSON objects; these functions define the
-# wire schema.  Two invariants matter for byte-identity of replayed
-# verdict streams:
+# wire schema.  The ``*_json_text`` formatters are the one definition of
+# each record's field layout: they write the exact bytes of
+# ``json.dumps(..., sort_keys=True, separators=(",", ":"))`` directly
+# (captures write one per end line, so no per-call ``json.dumps``), and
+# the ``*_to_json`` dicts are those texts parsed back.  Integers are
+# rendered by ``int.__repr__``, as ``json`` renders them.  Two invariants
+# matter for byte-identity of replayed verdict streams:
 #
 # * slot fields stay python ints end to end — a slot that came back as
 #   a float would poison every downstream Slots computation;
@@ -83,15 +89,20 @@ def _codec_bool(value: object, field: str) -> bool:
     return value
 
 
+def rts_json_text(frame: "RtsFrame") -> str:
+    """The wire text of one modified-RTS announcement (keys sorted)."""
+    return (
+        f'{{"attempt":{int.__repr__(frame.attempt)},'
+        f'"digest":"{frame.digest.hex()}",'
+        f'"receiver":{int.__repr__(frame.receiver)},'
+        f'"sender":{int.__repr__(frame.sender)},'
+        f'"seq_off":{int.__repr__(frame.seq_off)}}}'
+    )
+
+
 def rts_to_json(frame: "RtsFrame") -> Dict[str, object]:
     """The wire dict of one modified-RTS announcement."""
-    return {
-        "sender": frame.sender,
-        "receiver": frame.receiver,
-        "seq_off": frame.seq_off,
-        "attempt": frame.attempt,
-        "digest": frame.digest.hex(),
-    }
+    return json.loads(rts_json_text(frame))
 
 
 def rts_from_json(data: object) -> "RtsFrame":
@@ -130,16 +141,23 @@ OBSERVED_FIELDS: Tuple[str, ...] = (
 )
 
 
+def observed_json_text(observed: ObservedTransmission) -> str:
+    """The wire text of one observed transmission (keys sorted)."""
+    impairment = observed.impairment
+    rts = observed.rts
+    return (
+        f'{{"end_slot":{int.__repr__(observed.end_slot)},'
+        f'"impairment":{"null" if impairment is None else json.dumps(impairment)},'
+        f'"receiver":{int.__repr__(observed.receiver)},'
+        f'"rts":{"null" if rts is None else rts_json_text(rts)},'
+        f'"start_slot":{int.__repr__(observed.start_slot)},'
+        f'"success":{"true" if observed.success else "false"}}}'
+    )
+
+
 def observed_to_json(observed: ObservedTransmission) -> Dict[str, object]:
-    """The wire dict of one observed transmission (sorted-key stable)."""
-    return {
-        "start_slot": observed.start_slot,
-        "end_slot": observed.end_slot,
-        "rts": None if observed.rts is None else rts_to_json(observed.rts),
-        "success": observed.success,
-        "receiver": observed.receiver,
-        "impairment": observed.impairment,
-    }
+    """The wire dict of one observed transmission."""
+    return json.loads(observed_json_text(observed))
 
 
 def observed_from_json(data: object) -> ObservedTransmission:

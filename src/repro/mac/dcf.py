@@ -149,7 +149,12 @@ class DcfMac:
         offset = self._next_offset
         self._next_offset += 1
         dictated = self.prng.dictated_backoff(offset, self._attempt)
-        actual = self.policy.actual_backoff(self.prng, offset, self._attempt)
+        # An honest policy counts exactly the dictated value; skip the
+        # second PRS evaluation its actual_backoff would make.
+        if self.policy.is_honest:
+            actual = dictated
+        else:
+            actual = self.policy.actual_backoff(self.prng, offset, self._attempt)
         self._current = _CurrentAttempt(
             offset=offset, attempt=self._attempt, dictated=dictated, actual=actual
         )

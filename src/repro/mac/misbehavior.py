@@ -29,7 +29,9 @@ if TYPE_CHECKING:  # pragma: no cover - import-time only
 class BackoffPolicy(ABC):
     """Maps the dictated back-off to the back-off actually used."""
 
-    #: True for policies that follow the standard exactly.
+    #: True for policies that follow the standard exactly: their
+    #: ``actual_backoff`` is the dictated value, so the MAC uses that
+    #: value without calling it.
     is_honest = False
 
     @abstractmethod

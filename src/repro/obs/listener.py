@@ -9,14 +9,19 @@ back-off statistics kept by :class:`repro.mac.backoff.BackoffScheduler`.
 Collected series:
 
 * ``engine.slots`` / ``engine.events`` / ``engine.events.<kind>`` —
-  slot batches processed and per-phase event counts;
+  slots that held events and per-phase event counts, from the moment
+  the listener is attached.  The engine drops stale countdown
+  completions before dispatch (and with them the slots that held
+  nothing else); :meth:`MetricsListener.harvest` folds in the drops
+  made while attached, so these still count every scheduled event;
 * ``tx.starts`` / ``tx.successes`` / ``tx.rts_collisions`` — RTS
   outcomes, plus the ``tx.duration_slots`` and ``tx.attempt``
   histograms;
 * ``backoff.draws`` / ``backoff.freezes`` / ``backoff.slots_frozen`` —
   folded in by :meth:`MetricsListener.harvest` (the engine calls it at
-  the end of every ``run_until``; harvesting is delta-based, so calling
-  it repeatedly never double-counts);
+  the end of every ``run_until`` on every metrics listener it holds,
+  whether it installed it or a caller added it; harvesting is
+  delta-based, so calling it repeatedly never double-counts);
 * ``mobility.epochs`` and the ``engine.final_slot`` / ``engine.nodes``
   gauges.
 
@@ -74,6 +79,9 @@ class MetricsListener(SimulationListener):
         self._durations = reg.histogram("tx.duration_slots", DURATION_BOUNDS)
         #: node id -> (draws, freezes, slots_frozen) already folded in
         self._harvested: Dict[int, Tuple[int, int, int]] = {}
+        #: the engine's (dropped_events, dropped_slots) already folded in
+        #: (or made before :meth:`on_attach`)
+        self._harvested_drops: Tuple[int, int] = (0, 0)
 
     # -- low-level hooks -----------------------------------------------------
 
@@ -119,16 +127,29 @@ class MetricsListener(SimulationListener):
     ) -> None:
         self._epochs.inc()
 
+    def on_attach(self, engine: "SimulationEngine") -> None:
+        # Drops made before the listener existed are not its to count,
+        # just as the events dispatched before it never reached on_event.
+        self._harvested_drops = (engine.dropped_events, engine.dropped_slots)
+
     # -- back-off statistics ---------------------------------------------------
 
     def harvest(self, engine: "SimulationEngine") -> None:
-        """Fold the per-node back-off stats into the registry.
+        """Fold the per-node back-off stats and the engine's dropped
+        stale completions into the registry.
 
         Delta-based and therefore idempotent: only the growth since the
         previous harvest is added.  One listener must serve one engine
         (the deltas are keyed by node id).
         """
         reg = self.registry
+        events, slots = engine.dropped_events, engine.dropped_slots
+        prev_events, prev_slots = self._harvested_drops
+        # Every dropped event is a stale COUNTDOWN_COMPLETE (kind 3).
+        self._events.inc(events - prev_events)
+        self._event_kinds[3].inc(events - prev_events)
+        self._slots.inc(slots - prev_slots)
+        self._harvested_drops = (events, slots)
         for node_id, mac in engine.macs.items():
             backoff = mac.backoff
             now = (backoff.draws, backoff.freezes, backoff.slots_frozen)

@@ -38,8 +38,13 @@ senses.  The per-slot queries the engine
 hammers — :meth:`senses_busy`, :meth:`is_transmitting`,
 :meth:`interferers_at` — are therefore O(1) or O(sensed transmissions)
 instead of O(all active transmissions).  Transition cost is O(sensors of
-the transmitter), which is the same set the engine must reconcile
-anyway.
+the transmitter).
+
+The same walk reports carrier-sense *edges*: ``end_transmission``
+appends to a caller's ``went_idle`` list every listener whose last
+sensed transmission just ended, which is exactly the set of nodes whose
+channel turned idle.  The engine reconciles those (plus the sender)
+instead of every sensor of the transmitter.
 
 Invariants the incremental state maintains (see
 ``tests/test_medium_equivalence.py`` for the brute-force cross-check):
@@ -48,7 +53,9 @@ Invariants the incremental state maintains (see
   pairs of active transmissions whose sender is in
   ``_sensed_by[sender]``'s listener set, in start order;
 * it is rebuilt from scratch on ``update_positions`` (mobility epochs),
-  because reachability itself changed.
+  because reachability itself changed;
+* ``end_transmission``'s ``went_idle`` report names exactly the nodes
+  that sensed busy before the call and sense idle after it.
 """
 
 from __future__ import annotations
@@ -108,6 +115,14 @@ class Medium:
     ``index`` selects the reachability index: ``"auto"`` (grid when the
     propagation model has a finite range-scale bound, brute otherwise),
     ``"grid"`` (requires a finite bound) or ``"brute"`` (always valid).
+
+    Besides answering queries, the medium reports the carrier-sense
+    edges the engine reconciles: :meth:`sensors_of` a sender are the
+    nodes a start can turn busy, and :meth:`end_transmission`'s
+    ``went_idle`` list holds the nodes an end turned idle.  Reachability
+    accessors (:meth:`neighbors`, :meth:`sorted_neighbors`,
+    :meth:`sensors_of`) are cached per topology and dropped by
+    :meth:`update_positions`.
     """
 
     def __init__(self, channel: Channel, index: str = "auto") -> None:
@@ -154,6 +169,7 @@ class Medium:
         self._sensed_active: Dict[int, Dict[int, int]] = {}
         # -- frozenset caches for the reachability accessors ----------------
         self._neighbors_cache: Dict[int, FrozenSet[int]] = {}
+        self._sorted_neighbors_cache: Dict[int, Tuple[int, ...]] = {}
         self._sensors_cache: Dict[int, FrozenSet[int]] = {}
 
     # -- topology ----------------------------------------------------------
@@ -178,6 +194,7 @@ class Medium:
         else:
             self._rebuild_all_pairs()
         self._neighbors_cache.clear()
+        self._sorted_neighbors_cache.clear()
         self._sensors_cache.clear()
         self._rebuild_sensing_index()
         # Lazy import: repro.obs is cross-cutting; active_tracer() is
@@ -303,6 +320,15 @@ class Medium:
             )
         return cached
 
+    def sorted_neighbors(self, node_id: int) -> Tuple[int, ...]:
+        """:meth:`neighbors` in ascending order (cached tuple)."""
+        cached = self._sorted_neighbors_cache.get(node_id)
+        if cached is None:
+            cached = self._sorted_neighbors_cache[node_id] = tuple(
+                sorted(self.neighbors(node_id))
+            )
+        return cached
+
     def sensors_of(self, node_id: int) -> FrozenSet[int]:
         """Nodes that sense ``node_id``'s transmissions (cached frozenset)."""
         cached = self._sensors_cache.get(node_id)
@@ -348,8 +374,11 @@ class Medium:
                 tracked = sensed_active[listener] = {}
             tracked[tx_id] = sender
 
-    def _unindex_transmission(self, tx_id: int, tx: Transmission) -> None:
-        """Drop one transmission from the incremental indexes."""
+    def _unindex_transmission(
+        self, tx_id: int, tx: Transmission, went_idle: Optional[List[int]]
+    ) -> None:
+        """Drop one transmission from the incremental indexes, appending
+        to ``went_idle`` (if given) each listener left sensing nothing."""
         sender = tx.sender
         count = self._tx_count[sender] - 1
         if count:
@@ -357,10 +386,12 @@ class Medium:
         else:
             del self._tx_count[sender]
         self._handshakes.pop(tx_id, None)
+        sensed_active = self._sensed_active
         for listener in self._sensed_by_set(sender):
-            tracked = self._sensed_active.get(listener)
-            if tracked is not None:
-                tracked.pop(tx_id, None)
+            tracked = sensed_active.get(listener)
+            if tracked is not None and tracked.pop(tx_id, None) is not None:
+                if not tracked and went_idle is not None:
+                    went_idle.append(listener)
 
     def start_transmission(self, transmission: Transmission) -> int:
         """Register a transmission; returns its medium-assigned id."""
@@ -372,10 +403,17 @@ class Medium:
         self._index_transmission(tx_id, transmission)
         return tx_id
 
-    def end_transmission(self, tx_id: int) -> Transmission:
-        """Remove a finished transmission; returns it."""
+    def end_transmission(
+        self, tx_id: int, went_idle: Optional[List[int]] = None
+    ) -> Transmission:
+        """Remove a finished transmission; returns it.
+
+        ``went_idle``, when given, receives (in no particular order)
+        every node that sensed this transmission and now senses nothing
+        at all: the listeners whose channel just turned idle.
+        """
         tx = self._active.pop(tx_id)
-        self._unindex_transmission(tx_id, tx)
+        self._unindex_transmission(tx_id, tx, went_idle)
         return tx
 
     def extend_transmission(

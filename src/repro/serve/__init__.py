@@ -7,15 +7,13 @@ timelines, compacted demuxes, capped observation stores, and an
 LRU-bounded link table.  Verdicts, audit records, provenance, and
 Prometheus metrics stream out incrementally, byte-identical to an
 in-process observatory run over the same events.
+
+The stream producers (:class:`~repro.serve.capture.StreamCapture`,
+``capture_scenario``, ``synthetic_stream``) are imported from
+:mod:`repro.serve.capture` itself: the package does not import that
+module, so ``python -m repro.serve.capture`` runs it exactly once.
 """
 
-from repro.serve.capture import (
-    STREAM_SCENARIOS,
-    StreamCapture,
-    capture_scenario,
-    synthetic_links,
-    synthetic_stream,
-)
 from repro.serve.ingest import (
     DEFAULT_QUEUE_CAP,
     BoundedLineQueue,
@@ -61,11 +59,6 @@ from repro.serve.server import (
 from repro.serve.shard import merge_results, run_serve
 
 __all__ = [
-    "STREAM_SCENARIOS",
-    "StreamCapture",
-    "capture_scenario",
-    "synthetic_links",
-    "synthetic_stream",
     "DEFAULT_QUEUE_CAP",
     "BoundedLineQueue",
     "iter_file",

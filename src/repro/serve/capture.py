@@ -25,6 +25,7 @@ import sys
 from typing import (
     TYPE_CHECKING,
     Dict,
+    FrozenSet,
     Iterator,
     List,
     Optional,
@@ -60,7 +61,10 @@ class StreamCapture(SimulationListener):
     ``pairs`` scopes the capture: sensed sets are filtered to the
     monitors and tagged nodes involved (the only ids any serve-side
     query inspects), decode flags and frames are only resolved for
-    tagged senders, and positions are filtered the same way.
+    tagged senders, and positions are filtered the same way.  A
+    sender's scoped sensor set is computed once per topology: it is
+    cached against the medium's own cached sensor set, which
+    ``Medium.update_positions`` replaces.
     """
 
     def __init__(self, pairs: Sequence[LinkKey]) -> None:
@@ -72,10 +76,15 @@ class StreamCapture(SimulationListener):
         self.last_slot: Slots = 0
         self._tx_keys: Dict[int, int] = {}
         self._next_tx = 0
+        #: sender -> (the medium's sensor set, its scoped subset)
+        self._scoped: Dict[int, Tuple[FrozenSet[int], FrozenSet[int]]] = {}
 
-    def _scoped_sensors(self, sender: int, medium) -> frozenset:
+    def _scoped_sensors(self, sender: int, medium: "Medium") -> FrozenSet[int]:
         sensors = medium.sensors_of(sender)
-        return frozenset(node for node in self.scope if node in sensors)
+        cached = self._scoped.get(sender)
+        if cached is None or cached[0] is not sensors:
+            cached = self._scoped[sender] = (sensors, self.scope & sensors)
+        return cached[1]
 
     def on_transmission_start(
         self, slot: Slots, transmission: "Transmission", medium: "Medium"
@@ -250,6 +259,7 @@ def synthetic_stream(
     def link_events(index: int) -> Iterator[Tuple[int, int, int, str]]:
         monitor = monitor_base + index
         tagged = tagged_base + index
+        only_monitor = (monitor,)
         prng = VerifiableBackoffPrng(tagged, timing.cw_min, timing.cw_max)
         slot = start_slot + index % 97  # stagger link phases
         for seq_off in range(samples_per_link):
@@ -271,13 +281,7 @@ def synthetic_stream(
                 start,
                 index,
                 0,
-                start_line(
-                    start,
-                    tx,
-                    tagged,
-                    frozenset((monitor,)),
-                    frozenset((monitor,)),
-                ),
+                start_line(start, tx, tagged, only_monitor, only_monitor),
             )
             yield (
                 end,
@@ -287,7 +291,7 @@ def synthetic_stream(
                     end,
                     tx,
                     tagged,
-                    frozenset((monitor,)),
+                    only_monitor,
                     ObservedTransmission(
                         start_slot=start,
                         end_slot=end,

@@ -26,12 +26,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, Optional, Tuple, Union
 
 from repro.core.observation import (
     ObservedTransmission,
     observed_from_json,
-    observed_to_json,
+    observed_json_text,
 )
 from repro.util.units import Slots
 
@@ -228,22 +228,29 @@ def _dumps(data: Dict[str, object]) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
+# ``start`` and ``end`` lines are the bulk of every capture, so they are
+# formatted directly, in ``_dumps``'s byte layout (keys sorted, no
+# spaces, integers rendered by ``int.__repr__`` as ``json`` does); the
+# ``observed`` field is :func:`repro.core.observation.observed_json_text`,
+# which owns that record's layout.  The property tests pin both lines to
+# ``_dumps`` of the record dict.
+
+
+def _id_list(ids: Iterable[int]) -> str:
+    return "[" + ",".join(map(int.__repr__, sorted(ids))) + "]"
+
+
 def start_line(
     slot: Slots,
     tx: int,
     sender: int,
-    sensed: FrozenSet[int],
-    decoded: FrozenSet[int],
+    sensed: Iterable[int],
+    decoded: Iterable[int],
 ) -> str:
-    return _dumps(
-        {
-            "kind": "start",
-            "slot": slot,
-            "tx": tx,
-            "sender": sender,
-            "sensed": sorted(sensed),
-            "decoded": sorted(decoded),
-        }
+    return (
+        f'{{"decoded":{_id_list(decoded)},"kind":"start",'
+        f'"sender":{int.__repr__(sender)},"sensed":{_id_list(sensed)},'
+        f'"slot":{int.__repr__(slot)},"tx":{int.__repr__(tx)}}}'
     )
 
 
@@ -251,18 +258,13 @@ def end_line(
     slot: Slots,
     tx: int,
     sender: int,
-    sensed: FrozenSet[int],
+    sensed: Iterable[int],
     observed: ObservedTransmission,
 ) -> str:
-    return _dumps(
-        {
-            "kind": "end",
-            "slot": slot,
-            "tx": tx,
-            "sender": sender,
-            "sensed": sorted(sensed),
-            "observed": observed_to_json(observed),
-        }
+    return (
+        f'{{"kind":"end","observed":{observed_json_text(observed)},'
+        f'"sender":{int.__repr__(sender)},"sensed":{_id_list(sensed)},'
+        f'"slot":{int.__repr__(slot)},"tx":{int.__repr__(tx)}}}'
     )
 
 

@@ -281,6 +281,8 @@ class ServeResult:
     stream_snapshot: Dict[str, object]
     link_snapshot: Dict[str, object]
     events: int
+    #: rank-sum batches: flushes that had windows to rank (summed over
+    #: shards); a flush that only wrote sink records is not counted
     flushes: int
     pruned_intervals: int
     compacted_observations: int
@@ -356,6 +358,9 @@ class ServeSession:
         self._pending_since: Optional[Slots] = None
         self._ends_since_flush = 0
         self._ends_since_maintain = 0
+        #: rank-sum batches: flushes that ran the scheduler over pending
+        #: windows.  A flush with no window pending (one that only
+        #: writes queued sink records) is not counted.
         self.flushes = 0
         self.pruned_intervals = 0
         self.compacted_observations = 0

@@ -13,8 +13,32 @@ transmit — simultaneously, which is how real DCF collides).
 reconcile pass updates the back-off machinery of every *affected* node:
 freezes countdowns that now sense a busy medium, resumes (a DIFS later)
 countdowns whose medium went idle, and draws fresh back-offs for nodes
-with newly eligible head packets.  Stale completion events are discarded
-via the per-node back-off generation counter.
+with newly eligible head packets.  A node's back-off can only change on
+a carrier-sense edge or a new head packet, so the batch collects just
+those nodes: a transmission start adds the sender's sensors that are
+counting down (the engine keeps that set), a transmission end adds the
+sender and the listeners the medium reports went idle, and an arrival
+adds its node only if its queue was empty.  Priming and mobility epochs
+(reachability changed) still reconcile every node.  Nodes are visited
+in ascending id order, so the event sequence counter is consumed in
+the same order as a pass over every sensor would consume it.  The
+runtime invariant checker verifies the contract this relies on: at
+every slot end no counting back-off senses busy air, no frozen one
+sits on idle air and no backlogged node lacks a back-off.
+
+*Stale completions.*  A freeze (or redraw) moves the node's back-off
+generation on, which leaves its scheduled completion stale.  Stale
+completions are dropped as they reach the heap head, before the slot's
+batch forms, and a slot whose events were all stale forms no batch:
+no hook, reconcile or stop-condition poll runs for it.  Listeners
+therefore see only dispatched events.  The engine counts what it drops
+(:attr:`SimulationEngine.dropped_events`, ``dropped_slots``) and, at
+the end of every run segment, harvests each listener that has a
+``harvest`` method: :meth:`repro.obs.listener.MetricsListener.harvest`
+folds the drops made since it was attached into ``engine.events`` and
+``engine.slots``, so those keep counting every scheduled event and
+every slot that held one, whether the engine installed the listener
+or a caller added it.
 
 *Two-phase transmissions.*  A transmission first occupies the air for
 the RTS+SIFS+CTS handshake.  If by the end of the handshake it was
@@ -126,11 +150,18 @@ class SimulationEngine:
         self._heap: List[_Event] = []
         self._seq = itertools.count()
         self._primed = False
+        #: nodes whose back-off is counting down (resumed, not frozen)
+        self._counting: Set[int] = set()
+        #: stale countdown completions dropped before dispatch, and the
+        #: slots that held nothing else
+        self.dropped_events = 0
+        self.dropped_slots = 0
         self._event_hooks: List[Callable[..., None]] = []
         self._slot_end_hooks: List[Callable[..., None]] = []
         self._tx_start_hooks: List[Callable[..., None]] = []
         self._tx_end_hooks: List[Callable[..., None]] = []
         self._positions_hooks: List[Callable[..., None]] = []
+        self._harvest_hooks: List[Callable[..., None]] = []
         self.invariant_checker: Optional["InvariantChecker"] = None
         from repro.checks.runtime import runtime_checks_enabled
 
@@ -155,12 +186,17 @@ class SimulationEngine:
 
             self.listeners.append(TraceListener(shared_tracer()))
         self._refresh_hooks()
+        for listener in self.listeners:
+            if overrides_hook(listener, "on_attach"):
+                listener.on_attach(self)
 
     # -- public API ------------------------------------------------------
 
     def add_listener(self, listener: SimulationListener) -> None:
         self.listeners.append(listener)
         self._refresh_hooks()
+        if overrides_hook(listener, "on_attach"):
+            listener.on_attach(self)
 
     def instrument_phases(
         self,
@@ -194,6 +230,10 @@ class SimulationEngine:
         self._tx_start_hooks = hooks("on_transmission_start")
         self._tx_end_hooks = hooks("on_transmission_end")
         self._positions_hooks = hooks("on_positions_updated")
+        # Not a SimulationListener callback: any listener with a
+        # ``harvest(engine)`` method (MetricsListener) is harvested at
+        # the end of every run segment.
+        self._harvest_hooks = hooks("harvest")
 
     def schedule(self, slot: Slots, kind: int, data: Any = None) -> None:
         if slot < self.now:
@@ -215,12 +255,27 @@ class SimulationEngine:
             self._prime()
         heap = self._heap  # never rebound; aliasing is safe
         heappop = heapq.heappop
+        macs = self.macs
+        countdown = EventKind.COUNTDOWN_COMPLETE
         try:
             while heap and heap[0][0] <= end_slot:
                 slot = heap[0][0]
                 batch: List[_Event] = []
                 while heap and heap[0][0] == slot:
-                    batch.append(heappop(heap))
+                    event = heappop(heap)
+                    # A completion is live only while its back-off keeps
+                    # the generation it was scheduled under: only resume
+                    # schedules one, and every later freeze, redraw or
+                    # finish moves the generation on.
+                    if event[1] == countdown:
+                        node_id, generation = event[3]
+                        if macs[node_id].backoff.generation != generation:
+                            self.dropped_events += 1
+                            continue
+                    batch.append(event)
+                if not batch:
+                    self.dropped_slots += 1
+                    continue
                 affected = self._process_batch(slot, batch)
                 if affected:
                     self._reconcile(slot, affected)
@@ -232,10 +287,11 @@ class SimulationEngine:
             self.now = max(self.now, end_slot)
             return self.now
         finally:
-            # Fold the per-node back-off statistics into the metrics
-            # registry whenever a run segment completes (idempotent).
-            if self.metrics_listener is not None:
-                self.metrics_listener.harvest(self)
+            # Fold the per-node back-off statistics and the dropped stale
+            # completions into every metrics registry whenever a run
+            # segment completes (idempotent).
+            for harvest in self._harvest_hooks:
+                harvest(self)
 
     # -- setup -----------------------------------------------------------
 
@@ -252,24 +308,25 @@ class SimulationEngine:
     # -- event processing --------------------------------------------------
 
     def _process_batch(self, slot: Slots, batch: List[_Event]) -> Set[int]:
-        """Handle one slot's events; returns the set of affected nodes."""
+        """Handle one slot's events; returns the set of affected nodes
+        (those whose back-off the slot's reconcile pass must revisit)."""
         affected: Set[int] = set()
         for _slot, kind, _seq, data in batch:
             for hook in self._event_hooks:
                 hook(slot, kind, data, self)
             if kind == EventKind.TRANSMISSION_PHASE:
-                affected |= self._handle_phase(slot, data)
+                self._handle_phase(slot, data, affected)
             elif kind == EventKind.MOBILITY_EPOCH:
                 self._handle_epoch(slot)
-                affected |= set(self.macs)
+                affected.update(self.macs)
             elif kind == EventKind.ARRIVAL:
-                self._handle_arrival(slot, data)
-                affected.add(data)
+                if self._handle_arrival(slot, data):
+                    affected.add(data)
             elif kind == EventKind.COUNTDOWN_COMPLETE:
-                affected |= self._handle_countdown(slot, data)
+                self._handle_countdown(slot, data, affected)
         return affected
 
-    def _handle_phase(self, slot: Slots, tx_id: int) -> Set[int]:
+    def _handle_phase(self, slot: Slots, tx_id: int, affected: Set[int]) -> None:
         tx = self.medium.active_item(tx_id)
         if tx.kind == "handshake" and not tx.corrupted:
             # CTS received: extend the busy period through DATA + ACK
@@ -278,13 +335,15 @@ class SimulationEngine:
                 tx_id, tx.start_slot + self.timing.exchange_slots, kind="exchange"
             )
             self.schedule(tx.end_slot, EventKind.TRANSMISSION_PHASE, tx_id)
-            return set()
+            return
         success = tx.kind == "exchange"
-        self.medium.end_transmission(tx_id)
+        went_idle: List[int] = []
+        self.medium.end_transmission(tx_id, went_idle)
         self.macs[tx.sender].complete_transmission(success)
         for hook in self._tx_end_hooks:
             hook(slot, tx, success, self.medium)
-        return self._neighborhood_of(tx.sender) | {tx.sender}
+        affected.update(went_idle)
+        affected.add(tx.sender)
 
     def _handle_epoch(self, slot: Slots) -> None:
         time_s = slot * self.timing.slot_time_us / 1e6
@@ -294,8 +353,12 @@ class SimulationEngine:
             hook(slot, positions, self.medium)
         self.schedule(slot + self.epoch_slots, EventKind.MOBILITY_EPOCH)
 
-    def _handle_arrival(self, slot: Slots, node_id: int) -> None:
+    def _handle_arrival(self, slot: Slots, node_id: int) -> bool:
+        """Generate one packet; True if it may need a back-off draw
+        (the node's queue was empty before it)."""
         source = self.traffic[node_id]
+        mac = self.macs[node_id]
+        was_empty = mac.queue.is_empty
         destination = source.pick_destination(self.medium, node_id)
         if destination is not None and destination != node_id:
             packet = Packet(
@@ -304,18 +367,21 @@ class SimulationEngine:
                 size_bytes=self.timing.payload_bytes,
                 created_slot=slot,
             )
-            self.macs[node_id].enqueue(packet)
+            mac.enqueue(packet)
         nxt = source.generator.next_arrival_after(slot)
         if nxt is not None:
             self.schedule(nxt, EventKind.ARRIVAL, node_id)
+        return was_empty
 
-    def _handle_countdown(self, slot: Slots, data: Tuple[int, int]) -> Set[int]:
-        node_id, generation = data
+    def _handle_countdown(
+        self, slot: Slots, data: Tuple[int, int], affected: Set[int]
+    ) -> None:
+        """A live countdown hit zero (``run_until`` drops stale ones)."""
+        node_id, _generation = data
         mac = self.macs[node_id]
-        if mac.backoff.generation != generation or not mac.backoff.counting:
-            return set()  # stale event: the countdown was frozen/replaced
         rts = mac.build_rts()
         mac.begin_transmission()
+        self._counting.discard(node_id)
         receiver = rts.receiver
         corrupted = (
             not self.medium.can_decode(node_id, receiver)
@@ -346,16 +412,11 @@ class SimulationEngine:
         self.schedule(tx.end_slot, EventKind.TRANSMISSION_PHASE, tx_id)
         for hook in self._tx_start_hooks:
             hook(slot, tx, self.medium)
-        return self._neighborhood_of(node_id) | {node_id}
+        # The new busy period can only freeze sensors that are counting;
+        # every other sensor is frozen, idle or transmitting already.
+        affected.update(self.medium.sensors_of(node_id) & self._counting)
 
     # -- back-off reconciliation -------------------------------------------
-
-    def _neighborhood_of(self, node_id: int) -> "frozenset[int]":
-        """Nodes whose channel view a transition at ``node_id`` can change.
-
-        Returns the medium's cached frozenset directly — callers union
-        it, they never mutate it."""
-        return self.medium.sensors_of(node_id)
 
     def _reconcile(self, slot: Slots, affected: Set[int]) -> None:
         # This pass runs for every affected node on every non-empty slot;
@@ -368,6 +429,7 @@ class SimulationEngine:
         # it goes, so the event sequence counter — the only shared state
         # the pass threads — is consumed in that same order.
         macs = self.macs
+        counting = self._counting
         senses_busy = self.medium.senses_busy
         resume_anchor = slot + self.timing.difs_slots
         for node_id in sorted(affected):
@@ -380,10 +442,13 @@ class SimulationEngine:
                     continue
                 mac.draw_backoff()
             if senses_busy(node_id):
-                backoff.freeze(slot)
+                if backoff.anchor is not None:
+                    backoff.freeze(slot)
+                    counting.discard(node_id)
             elif backoff.anchor is None:
                 self.schedule(
                     backoff.resume(resume_anchor),
                     EventKind.COUNTDOWN_COMPLETE,
                     (node_id, backoff.generation),
                 )
+                counting.add(node_id)

@@ -7,8 +7,11 @@ simulation state.
 
 Two low-level hooks exist for instrumentation that needs to see the raw
 event stream (the invariant checker in :mod:`repro.checks.invariants`):
-``on_event`` fires before each scheduled event is dispatched and
-``on_slot_end`` after a slot's batch and reconcile pass complete.
+``on_event`` fires before each event is dispatched and ``on_slot_end``
+after a slot's batch and reconcile pass complete.  Stale countdown
+completions are dropped before dispatch, so neither hook sees them (nor
+a slot that held nothing else); the engine counts them instead.
+``on_attach`` fires once, when the listener joins an engine.
 
 The engine dispatches *every* callback — high-level and low-level —
 only to listeners that actually override it (see :func:`overrides_hook`
@@ -79,6 +82,10 @@ class SimulationListener:
 
     def on_slot_end(self, slot: Slots, engine: "SimulationEngine") -> None:
         """A slot's event batch and reconcile pass completed (low-level)."""
+
+    def on_attach(self, engine: "SimulationEngine") -> None:
+        """The listener joined ``engine`` (at the engine's construction or
+        through ``add_listener``), before any event reached it."""
 
 
 @dataclass

@@ -65,7 +65,7 @@ class _TrafficSource:
     def pick_destination(self, medium: Medium, node_id: int) -> Optional[int]:
         if self._cached_destination is not None and not self.flow.picks_per_packet:
             return self._cached_destination
-        neighbors = sorted(medium.neighbors(node_id))
+        neighbors = medium.sorted_neighbors(node_id)
         if not neighbors:
             return None
         choice = self._rng.choice(neighbors)

@@ -45,10 +45,20 @@ class FakeState:
         self.value = value
 
 
+class FakeQueue:
+    def __init__(self, backlog: int = 0) -> None:
+        self.backlog = backlog
+
+    @property
+    def is_empty(self) -> bool:
+        return not self.backlog
+
+
 class FakeMac:
-    def __init__(self, **backoff_kwargs: Any) -> None:
+    def __init__(self, backlog: int = 0, **backoff_kwargs: Any) -> None:
         self.backoff = FakeBackoff(**backoff_kwargs)
         self.state = FakeState()
+        self.queue = FakeQueue(backlog)
 
 
 @dataclass
@@ -64,6 +74,7 @@ class FakeMedium:
     def __init__(self, active: Optional[List[FakeTransmission]] = None) -> None:
         self.active = list(active or [])
         self.sensed: Set[Tuple[int, int]] = set()
+        self.busy: Set[int] = set()  # nodes that sense busy air
 
     def active_items(self):
         return list(enumerate(self.active))
@@ -73,6 +84,9 @@ class FakeMedium:
 
     def senses(self, a: int, b: int) -> bool:
         return (a, b) in self.sensed
+
+    def senses_busy(self, node_id: int) -> bool:
+        return node_id in self.busy
 
 
 @dataclass
@@ -304,6 +318,54 @@ def test_idle_node_passes_slot_end():
     checker.on_slot_end(5, engine)
     assert checker.ok
     assert checker.slots_checked == 1
+
+
+# -- reconcile completeness ---------------------------------------------------
+
+
+def test_counting_backoff_on_busy_air_trips():
+    checker = collecting_checker()
+    engine = _engine_with_node(
+        7, backlog=1, counting=True, remaining=3, initial=15, completion_slot=9
+    )
+    engine.medium.busy.add(7)  # a sensed transmission began; no freeze
+    checker.on_slot_end(5, engine)
+    assert kinds(checker) == ["reconcile-completeness"]
+
+
+def test_frozen_backoff_on_idle_air_trips():
+    checker = collecting_checker()
+    engine = _engine_with_node(7, backlog=1, remaining=3, initial=15)
+    checker.on_slot_end(5, engine)  # the air is idle; no resume
+    assert kinds(checker) == ["reconcile-completeness"]
+
+
+def test_backlogged_node_without_backoff_trips():
+    checker = collecting_checker()
+    engine = _engine_with_node(7, backlog=2)  # packets wait, no draw
+    checker.on_slot_end(5, engine)
+    assert kinds(checker) == ["reconcile-completeness"]
+
+
+def test_reconciled_states_pass():
+    checker = collecting_checker()
+    engine = FakeEngine(
+        now=0,
+        macs={
+            1: FakeMac(backlog=1, remaining=3, initial=15),  # frozen, busy
+            2: FakeMac(
+                backlog=1, counting=True, remaining=3, initial=15,
+                completion_slot=9,
+            ),  # counting, idle
+            3: FakeMac(),  # nothing to send
+            4: FakeMac(backlog=1),  # transmitting: exempt
+        },
+    )
+    engine.medium.busy.update({1, 4})
+    engine.macs[4].state.value = "transmitting"
+    engine.medium.active.append(FakeTransmission(sender=4))
+    checker.on_slot_end(5, engine)
+    assert checker.ok
 
 
 # -- strict mode, summary, plumbing ------------------------------------------

@@ -107,6 +107,15 @@ class TestPrsConsumption:
         assert actual == mac.prng.dictated_backoff(0, 1)
         assert mac.current_draw.dictated == actual
 
+    def test_honest_policy_reuses_the_dictated_draw(self):
+        class Honest(PercentageMisbehavior):
+            def actual_backoff(self, prng, offset, attempt):
+                raise AssertionError("an honest draw needs no second PRS call")
+
+        mac = DcfMac(1, policy=Honest(0))
+        mac.enqueue(_packet())
+        assert mac.draw_backoff() == mac.prng.dictated_backoff(0, 1)
+
     def test_misbehaving_draw_shrinks(self):
         mac = DcfMac(1, policy=PercentageMisbehavior(50))
         mac.enqueue(_packet())

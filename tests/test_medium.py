@@ -117,5 +117,16 @@ class TestOutOfRange:
         m = Medium(Channel())
         m.update_positions({0: (0, 0), 1: (2000, 0)})
         assert m.neighbors(0) == frozenset()
+        assert m.sorted_neighbors(0) == ()
         m.update_positions({0: (0, 0), 1: (100, 0)})
         assert m.neighbors(0) == {1}
+        assert m.sorted_neighbors(0) == (1,)
+
+    def test_sorted_neighbors_cached_per_topology(self):
+        m = Medium(Channel())
+        m.update_positions({0: (0, 0), 3: (200, 0), 1: (-200, 0), 2: (0, 240)})
+        first = m.sorted_neighbors(0)
+        assert first == (1, 2, 3)
+        assert m.sorted_neighbors(0) is first
+        m.update_positions({0: (0, 0), 3: (200, 0), 1: (-200, 0), 2: (0, 900)})
+        assert m.sorted_neighbors(0) == (1, 3)

@@ -4,7 +4,10 @@ The incremental carrier-sense indexes (per-listener sensed maps and
 the handshake index) must answer every query exactly as a full scan of
 the active transmissions would.  Seeded random start / extend / end /
 update_positions sequences are applied to both, and every query is
-compared after every operation.
+compared after every operation.  So is ``end_transmission``'s
+went-idle report: it must name exactly the nodes the operation turned
+from busy to idle (and only an end may turn a node idle, apart from a
+mobility epoch, which the engine reconciles in full).
 """
 
 import pytest
@@ -86,6 +89,8 @@ def test_random_sequences_match_brute_force(seed):
     for _step in range(300):
         clock += 1
         op = rng.integers(0, 100)
+        busy_before = {n for n in node_ids if reference.senses_busy(n)}
+        went_idle = None
         if op < 40 or not live:  # start
             sender = rng.integers(0, nodes)
             receiver = (sender + 1 + rng.integers(0, nodes - 1)) % nodes
@@ -100,7 +105,8 @@ def test_random_sequences_match_brute_force(seed):
             reference.start(tx_id, tx)
         elif op < 70:  # end
             tx_id = rng.choice(sorted(live))
-            medium.end_transmission(tx_id)
+            went_idle = []
+            assert medium.end_transmission(tx_id, went_idle) is live[tx_id]
             reference.end(tx_id)
         elif op < 90:  # extend (never shrink), sometimes flip the kind
             tx_id = rng.choice(sorted(live))
@@ -112,5 +118,13 @@ def test_random_sequences_match_brute_force(seed):
                 tx.kind = kind  # the reference shares the Transmission
         else:  # mobility epoch: reachability and indexes rebuild
             medium.update_positions(_positions(rng, nodes))
+            op = None
         live = dict(medium.active_items())
         _assert_equivalent(medium, reference, node_ids)
+        turned_idle = busy_before - {
+            n for n in node_ids if reference.senses_busy(n)
+        }
+        if went_idle is not None:
+            assert sorted(went_idle) == sorted(turned_idle)
+        elif op is not None:
+            assert not turned_idle

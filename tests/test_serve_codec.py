@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.observation import (
     ObservedTransmission,
     observed_from_json,
+    observed_json_text,
     observed_to_json,
     rts_from_json,
     rts_to_json,
@@ -157,6 +158,89 @@ class TestLineRoundTrip:
     def test_blank_lines_parse_to_none(self):
         assert parse_line("") is None
         assert parse_line("   \t ") is None
+
+
+# -- direct encoders --------------------------------------------------------
+
+
+def _dumps(data):
+    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+
+
+observed_any_text = st.builds(
+    ObservedTransmission,
+    start_slot=slots,
+    end_slot=slots,
+    rts=st.one_of(st.none(), rts_frames),
+    success=st.booleans(),
+    receiver=node_ids,
+    impairment=st.one_of(st.none(), st.text(max_size=12)),
+)
+
+
+class TestEncoderBytes:
+    """``observed_json_text``, ``start_line`` and ``end_line`` format
+    their text directly; it must be byte-identical to the sorted-key,
+    space-free ``json.dumps`` of the record dict, or captured streams
+    (and their goldens) move."""
+
+    @given(observed=observed_any_text)
+    def test_observed_json_text_matches_json_dumps(self, observed):
+        rts = observed.rts
+        expected = _dumps(
+            {
+                "start_slot": observed.start_slot,
+                "end_slot": observed.end_slot,
+                "rts": None
+                if rts is None
+                else {
+                    "sender": rts.sender,
+                    "receiver": rts.receiver,
+                    "seq_off": rts.seq_off,
+                    "attempt": rts.attempt,
+                    "digest": rts.digest.hex(),
+                },
+                "success": observed.success,
+                "receiver": observed.receiver,
+                "impairment": observed.impairment,
+            }
+        )
+        assert observed_json_text(observed) == expected
+
+    @given(slot=slots, tx=tx_ids, sender=node_ids, sensed=id_sets, decoded=id_sets)
+    def test_start_line_matches_json_dumps(self, slot, tx, sender, sensed, decoded):
+        expected = _dumps(
+            {
+                "kind": "start",
+                "slot": slot,
+                "tx": tx,
+                "sender": sender,
+                "sensed": sorted(sensed),
+                "decoded": sorted(decoded),
+            }
+        )
+        assert start_line(slot, tx, sender, sensed, decoded) == expected
+
+    @settings(deadline=None)
+    @given(
+        slot=slots,
+        tx=tx_ids,
+        sender=node_ids,
+        sensed=id_sets,
+        observed=observed_any_text,
+    )
+    def test_end_line_matches_json_dumps(self, slot, tx, sender, sensed, observed):
+        expected = _dumps(
+            {
+                "kind": "end",
+                "slot": slot,
+                "tx": tx,
+                "sender": sender,
+                "sensed": sorted(sensed),
+                "observed": observed_to_json(observed),
+            }
+        )
+        assert end_line(slot, tx, sender, sensed, observed) == expected
 
 
 # -- type-shift rejection --------------------------------------------------

@@ -28,6 +28,9 @@ import hashlib
 import io
 import itertools
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -547,3 +550,30 @@ def test_soak_bounded_memory_preserves_live_link_verdicts():
         # observation ids never noticed.
         assert len(capped_link.observations) <= 64 + 8
         assert len(capped_link.observations) < len(uncapped_link.observations)
+
+
+def test_capture_module_runs_without_warnings():
+    """``python -m repro.serve.capture`` runs the module once: the
+    ``repro.serve`` package must not import it first, or runpy warns
+    (a RuntimeWarning, an error here) and the module executes twice.
+    Only RuntimeWarning is made an error, so a deprecation warning from
+    a dependency cannot fail this test."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        path for path in (src, env.get("PYTHONPATH")) if path
+    )
+    result = subprocess.run(
+        [
+            sys.executable, "-W", "error::RuntimeWarning", "-m",
+            "repro.serve.capture",
+            "multi", "--duration", "0.2", "--out", "-",
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "found in sys.modules" not in result.stderr
+    assert result.stdout.splitlines()[-1].startswith('{"kind":"shutdown"')
